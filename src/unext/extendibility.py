@@ -13,20 +13,25 @@ tolerance, which alternating projections cannot turn into a proof. Callers
 that need reliability keep their query points away from the feasibility
 boundary.
 
-The projection loop uses the LAPACK eigensolver: profiling puts the Jacobi
-path at 4.5-300 ms per eigendecomposition over the relevant sizes (dimension
-8 to 64) against 0.03-0.9 ms for LAPACK, and a single query can need tens of
-thousands of projections.
+The PSD half of the loop uses the LAPACK eigensolver: profiling puts the
+Jacobi path at 4.5-300 ms per eigendecomposition over the relevant sizes
+(dimension 8 to 64) against 0.03-0.9 ms for LAPACK, and a single query can
+need tens of thousands of projections.
+
+The affine half works in index space. Permutation-invariant operators on
+A (x) B^(x)k are constant on the orbits of matrix entries under simultaneous
+permutation of the row and column B digits, so the group average is a mean
+over orbits, and the reduction onto (A, B_1) and its adjoint are sums through
+a fixed entry map. Both maps are built once per (d_a, d_b, k) and cached, and
+the affine projection keeps its iterate as one value per orbit.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations
 from typing import Callable, Optional
 
 import numpy as np
@@ -97,43 +102,96 @@ def _generator_perms(k: int) -> list[tuple[int, ...]]:
     return gens
 
 
-def symmetrize(omega: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
-    """Average omega over permutations of the k B factors.
+@dataclass(frozen=True)
+class _IndexMaps:
+    """Index maps of the extension space A (x) B^(x)k, row-major over its entries."""
 
-    Full group average for k <= 5 (120 index gathers beat the alternative by
-    an order of magnitude at the dimensions the scale guard admits); past that
-    the average is reached by iterating the mean over adjacent-transposition
-    generators to convergence, which scales where enumerating k! terms stops
-    being sensible.
+    labels: np.ndarray  # orbit label of every entry
+    sizes: np.ndarray  # number of entries in each orbit
+    red_orbit: np.ndarray  # orbit of each entry whose B_2..B_k row and column digits agree
+    red_target: np.ndarray  # the (A, B_1) entry that entry adds to under Tr_{B_2..B_k}
+
+
+@lru_cache(maxsize=None)
+def _index_maps(d_a: int, d_b: int, k: int) -> _IndexMaps:
+    """Orbit labels of the entries under B-factor permutations, and the reduction map.
+
+    A permutation of the B factors moves entry (r, c), with B digits
+    (b_1..b_k) and (b'_1..b'_k), onto every entry with the same A digits and
+    the same multiset of digit pairs (b_i, b'_i). Sorting the pair codes
+    b_i d_b + b'_i therefore reaches a canonical representative of the orbit,
+    and the labels number the d_a^2 C(d_b^2 + k - 1, k) representatives in
+    increasing order. Codes are built a block of rows at a time in the
+    narrowest dtype that holds them, so no dim^2 x k array is formed: at the
+    4096 guard one would take 1.5 GB as int64, while the labels and the
+    ranking table take O(dim^2).
     """
+    block = d_b**k
+    dim = d_a * block
+    n_pairs = d_b * d_b
+    code_t = np.min_scalar_type(n_pairs - 1)
+    digits = np.tile(np.stack(np.unravel_index(np.arange(block), (d_b,) * k), axis=1), (d_a, 1))
+    row_codes = (digits * d_b).astype(code_t)
+    col_codes = digits.astype(code_t)
+    a_digit = np.repeat(np.arange(d_a, dtype=np.int64), block)
+    rep = np.empty((dim, dim), dtype=np.int64)
+    step = max(1, (1 << 22) // (dim * k))
+    for r0 in range(0, dim, step):
+        rows = slice(r0, r0 + step)
+        codes = row_codes[rows, None, :] + col_codes[None, :, :]
+        codes.sort(axis=-1)
+        key = a_digit[rows, None] * d_a + a_digit[None, :]
+        for i in range(k):
+            key = key * n_pairs + codes[..., i]
+        rep[rows] = key
+    # keys lie in [0, dim^2): rank them through a table rather than a sort
+    rank = np.zeros(dim * dim, dtype=np.intp)
+    rank[rep.reshape(-1)] = 1
+    np.cumsum(rank, out=rank)
+    rank -= 1
+    labels = rank[rep.reshape(-1)]
+    n_ab = d_a * d_b
+    rest = d_b ** (k - 1)
+    ab = np.arange(n_ab)[:, None, None]
+    ab2 = np.arange(n_ab)[None, :, None]
+    tail = np.arange(rest)[None, None, :]
+    entry = (ab * rest + tail) * dim + ab2 * rest + tail
+    target = np.broadcast_to(ab * n_ab + ab2, entry.shape)
+    return _IndexMaps(
+        labels=labels,
+        sizes=np.bincount(labels),
+        red_orbit=labels[entry.reshape(-1)],
+        red_target=target.reshape(-1),
+    )
+
+
+def _bincount_complex(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    return np.bincount(index, weights.real, n) + 1j * np.bincount(index, weights.imag, n)
+
+
+def _orbit_means(omega: np.ndarray, d_a: int, d_b: int, k: int) -> tuple[np.ndarray, _IndexMaps]:
+    """Mean of omega over each orbit of entries, and the index maps of its shape."""
     dim = d_a * d_b**k
     omega = np.asarray(omega, dtype=complex)
     if omega.shape != (dim, dim):
         raise ValueError(f"omega shape {omega.shape} does not match dims ({d_a}, {d_b}^{k})")
-    if k <= 5:
-        acc = np.zeros_like(omega)
-        for perm in permutations(range(k)):
-            src = _conj_indices(d_a, d_b, k, perm)
-            acc += omega[np.ix_(src, src)]
-        return acc / math.factorial(k)
-    gens = [_conj_indices(d_a, d_b, k, g) for g in _generator_perms(k)]
-    x = omega
-    scale = max(1.0, float(np.max(np.abs(omega))))
-    # the downstream reduction constraint amplifies asymmetry by d_b^(k-1),
-    # so the generator average is driven well below the 1e-12 contract; the
-    # floor sits a few ulp above zero for O(1) entries
-    stop = 5e-15 * scale
-    for _ in range(20000):
-        acc = x.copy()
-        defect = 0.0
-        for src in gens:
-            moved = x[np.ix_(src, src)]
-            defect = max(defect, float(np.max(np.abs(moved - x))))
-            acc += moved
-        if defect <= stop:
-            return x
-        x = acc / (len(gens) + 1)
-    raise ArithmeticError("generator averaging failed to converge")
+    maps = _index_maps(d_a, d_b, k)
+    return _bincount_complex(maps.labels, omega.reshape(-1), maps.sizes.size) / maps.sizes, maps
+
+
+def symmetrize(omega: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
+    """Average omega over permutations of the k B factors.
+
+    The group average of an entry is the mean of omega over the entry's orbit
+    under simultaneous permutation of the row and column B digits: every orbit
+    element is reached by |stabiliser| of the k! permutations, so the k!-term
+    average and the orbit mean are the same linear map. The orbit labels come
+    from _index_maps, built once per (d_a, d_b, k); a call is two bincounts
+    and a gather, whatever k is.
+    """
+    means, maps = _orbit_means(omega, d_a, d_b, k)
+    dim = d_a * d_b**k
+    return means[maps.labels].reshape(dim, dim)
 
 
 def symmetry_defect(omega: np.ndarray, d_a: int, d_b: int, k: int) -> float:
@@ -156,20 +214,26 @@ def affine_project(omega: np.ndarray, rho: DensityMatrix, k: int) -> np.ndarray:
     R = rho - reduction and d = d_B, the correction is the symmetrization of
     (k/d^(k-1)) R - ((k-1)/d^k) (Tr_B R (x) I_B1), tensored with identities.
     One pass lands on the set to rounding accuracy; the loop is a safeguard.
+
+    The iterate is kept as one value per orbit of entries: the reduction sums
+    those values through the precomputed (A, B_1) map, and the symmetrized
+    lift of the correction averages it back over the orbits through the same
+    map.
     """
     d_a, d_b = rho.dims
-    dims_ext = (d_a,) + (d_b,) * k
-    eye_rest = np.eye(d_b ** (k - 1), dtype=complex)
-    x = symmetrize(hermitize(omega), d_a, d_b, k)
+    n_ab = d_a * d_b
+    x, maps = _orbit_means(hermitize(omega), d_a, d_b, k)
+    eye_b = np.eye(d_b)[None, :, None, :]
     for _ in range(50):
-        resid = rho.matrix - partial_trace(x, dims_ext, keep=(0, 1))
+        reduction = _bincount_complex(maps.red_target, x[maps.red_orbit], n_ab * n_ab)
+        resid = rho.matrix - reduction.reshape(n_ab, n_ab)
         if float(np.max(np.abs(resid))) <= _AFFINE_TOL:
-            return x
-        marg = partial_trace(resid, (d_a, d_b), keep=[0])
-        lam = (k / d_b ** (k - 1)) * resid - ((k - 1) / d_b**k) * kron(
-            marg, np.eye(d_b, dtype=complex)
-        )
-        x = x + symmetrize(kron(lam, eye_rest), d_a, d_b, k)
+            dim = d_a * d_b**k
+            return x[maps.labels].reshape(dim, dim)
+        resid4 = resid.reshape(d_a, d_b, d_a, d_b)
+        marg = np.trace(resid4, axis1=1, axis2=3)[:, None, :, None]
+        lam = (k / d_b ** (k - 1)) * resid4 - ((k - 1) / d_b**k) * marg * eye_b
+        x = x + _bincount_complex(maps.red_orbit, lam.reshape(-1)[maps.red_target], x.size) / maps.sizes
     raise ArithmeticError("affine projection did not reach its joint residual")
 
 
@@ -244,11 +308,13 @@ def threshold_bisect(
 ) -> float:
     """Locate the extendibility boundary of a monotone one-parameter family.
 
-    family(lo) must be Feasible and family(hi) InfeasibleSignal; the returned
-    parameter is the interval midpoint once the bracket has width <= 2*xtol.
-    An Inconclusive midpoint is treated as not-confirmed-feasible, which can
-    only bias the boundary toward the feasible side; for the sigma choices
-    built on these thresholds that is the sound direction.
+    family(lo) must be Feasible and family(hi) InfeasibleSignal. Once the
+    bracket has width <= 2*xtol the feasible end lo is returned: it is the
+    last parameter the solver confirmed Feasible, whereas the midpoint can
+    sit on the infeasible side of the boundary. An Inconclusive midpoint is
+    treated as not-confirmed-feasible, which can only bias the boundary toward
+    the feasible side; for the sigma choices built on these thresholds that is
+    the sound direction.
     """
     v_lo = check_k_extendible(ExtensionProblem(family(lo), k, tol=tol, max_iter=max_iter))
     if v_lo.status is not VerdictStatus.FEASIBLE:
@@ -267,7 +333,7 @@ def threshold_bisect(
             warm = verdict.certificate
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo
 
 
 def erasure_certificate(k: int) -> np.ndarray:
@@ -289,13 +355,9 @@ def erasure_certificate(k: int) -> np.ndarray:
     for _ in range(k - 1):
         flags = kron(flags, flag)
     base = kron(phi_emb, flags)  # pair on (A, B_1), flags elsewhere
-    acc = base.copy()
-    for i in range(1, k):
-        swap = list(range(k))
-        swap[0], swap[i] = swap[i], swap[0]
-        src = _conj_indices(2, 3, k, tuple(swap))
-        acc += base[np.ix_(src, src)]
-    cert = acc / k
+    # base is invariant under permutations of B_2..B_k, so its group average
+    # is the mean over the k placements of the pair
+    cert = symmetrize(base, 2, 3, k)
 
     target = erasure_family(1.0 - 1.0 / k)
     defects = certificate_defects(cert, target, k)

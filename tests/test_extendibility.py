@@ -1,3 +1,6 @@
+import math
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from unext.extendibility import (
     threshold_bisect,
     twirl_uu,
     _conj_indices,
+    _index_maps,
 )
 from unext.states import (
     DensityMatrix,
@@ -63,17 +67,20 @@ def test_symmetrize_two_term_average():
     assert np.max(np.abs(got - expected)) < 1e-14
 
 
-def test_symmetrize_generator_path_matches_full_average():
-    omega = random_hermitian(2 * 2**6, 11)
-    from itertools import permutations as perms
-
-    full = np.zeros_like(omega, dtype=complex)
-    for perm in perms(range(6)):
-        src = _conj_indices(2, 2, 6, perm)
-        full += omega[np.ix_(src, src)]
-    full /= 720
-    got = symmetrize(omega, 2, 2, 6)  # k = 6 takes the generator path
-    assert np.max(np.abs(got - full)) < 1e-11
+def test_symmetrize_matches_full_average():
+    # the orbit mean against the explicit k!-term average over lifted permutations
+    shapes = [(2, 2, k) for k in range(2, 7)] + [(2, 3, 2), (2, 3, 3), (3, 3, 2)]
+    for d_a, d_b, k in shapes:
+        omega = random_hermitian(d_a * d_b**k, 11)
+        full = np.zeros_like(omega, dtype=complex)
+        for perm in permutations(range(k)):
+            src = _conj_indices(d_a, d_b, k, perm)
+            full += omega[np.ix_(src, src)]
+        full /= math.factorial(k)
+        got = symmetrize(omega, d_a, d_b, k)
+        assert np.max(np.abs(got - full)) < 1e-11, (d_a, d_b, k)
+        n_orbits = _index_maps(d_a, d_b, k).sizes.size
+        assert n_orbits == d_a**2 * math.comb(d_b**2 + k - 1, k), (d_a, d_b, k)
 
 
 def test_affine_project_from_zero():
@@ -86,14 +93,25 @@ def test_affine_project_from_zero():
 
 
 def test_affine_project_idempotent_and_nearest():
-    rho = isotropic(0.7, 2)
-    m = random_hermitian(8, 3)
-    proj = affine_project(m, rho, 2)
-    assert np.max(np.abs(affine_project(proj, rho, 2) - proj)) < 1e-12
-    # orthogonality of the correction against directions inside the set
-    other = affine_project(random_hermitian(8, 4), rho, 2)
-    inner = np.trace((m - proj).conj().T @ (other - proj))
-    assert abs(inner) < 1e-12
+    for rho, k in [
+        (isotropic(0.7, 2), 2),
+        (isotropic(0.7, 2), 3),
+        (isotropic(0.7, 2), 4),
+        (isotropic(0.7, 3), 2),
+        (erasure_family(0.5), 3),
+    ]:
+        d_a, d_b = rho.dims
+        dim = d_a * d_b**k
+        m = random_hermitian(dim, 3)
+        proj = affine_project(m, rho, k)
+        red = linalg.partial_trace(proj, (d_a,) + (d_b,) * k, keep=(0, 1))
+        assert np.max(np.abs(red - rho.matrix)) <= 1e-12, (rho.dims, k)
+        assert symmetry_defect(proj, d_a, d_b, k) <= 1e-12, (rho.dims, k)
+        assert np.max(np.abs(affine_project(proj, rho, k) - proj)) < 1e-12, (rho.dims, k)
+        # orthogonality of the correction against directions inside the set
+        other = affine_project(random_hermitian(dim, 4), rho, k)
+        inner = np.trace((m - proj).conj().T @ (other - proj))
+        assert abs(inner) < 1e-12, (rho.dims, k)
 
 
 def test_feasible_cases_and_certificates():
@@ -152,11 +170,16 @@ def test_scale_guard():
 def test_threshold_bisect_isotropic_k2():
     t_star = threshold_bisect(lambda t: isotropic(t, 2), 2, 0.55, 0.92)
     assert 0.74 <= t_star <= 0.76
+    # the returned parameter is one the solver confirmed, not a bracket midpoint
+    verdict = check_k_extendible(ExtensionProblem(isotropic(t_star, 2), 2))
+    assert verdict.status is VerdictStatus.FEASIBLE
 
 
 def test_threshold_bisect_erasure_is_orientation_agnostic():
     q_star = threshold_bisect(erasure_family, 2, 0.9, 0.1)
     assert 0.49 <= q_star <= 0.51
+    verdict = check_k_extendible(ExtensionProblem(erasure_family(q_star), 2))
+    assert verdict.status is VerdictStatus.FEASIBLE
 
 
 def test_threshold_bisect_rejects_bad_bracket():
