@@ -3,8 +3,9 @@
 Output is CSV (with a versioned header comment) or JSON. Infinite rates are
 the string "inf" in CSV and null plus a "vacuous": true flag in JSON. Exit
 codes: 0 success (and Feasible for check), 1 usage or parse error, 2
-infeasible-signal, 3 inconclusive, 4 internal numerical failure. The
-environment variable UNEXT_THREADS caps sweep parallelism.
+infeasible-signal, 3 inconclusive, 4 internal numerical failure. Sweeps over
+n run serially in n order; the environment variable UNEXT_THREADS is no
+longer read.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from . import bounds as bounds_mod
 from . import extendibility as ext_mod
@@ -50,22 +50,6 @@ class FigureRow:
     rate_limit: float
     k_used: float
     method: str
-
-
-def _threads() -> int:
-    raw = os.environ.get("UNEXT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _sweep(fn: Callable[[int], object], ns: Sequence[int]) -> list:
-    workers = min(_threads(), len(ns))
-    if workers <= 1:
-        return [fn(n) for n in ns]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, ns))  # map preserves n-order
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -184,7 +168,7 @@ def run_figure(
             method=opt.method,
         )
 
-    return _sweep(one, list(range(1, n_max + 1)))
+    return [one(n) for n in range(1, n_max + 1)]
 
 
 def _parse_prob(raw: str) -> float:
@@ -231,7 +215,7 @@ def _cmd_bound(args, out: TextIO) -> int:
                 return bounds_mod.depolarizing_bound(query)
             return bounds_mod.erasure_bound(query)
 
-    rows = _sweep(one, ns)
+    rows = [one(n) for n in ns]
     if not args.per_use:
         rows = [
             BoundResult(

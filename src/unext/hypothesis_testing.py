@@ -12,7 +12,10 @@ covers small n.
 The same sort-and-fill core also evaluates the divergence for commuting pairs
 of density matrices by reducing their joint spectrum to a classical outcome
 list, and the max-relative entropy for commuting pairs comes from the largest
-eigenvalue ratio.
+eigenvalue ratio. Two n-fold tensor powers are never diagonalized densely:
+their joint spectrum is built from the single-copy pair, one outcome per
+type (count of each factor eigenpair) weighted by its multinomial
+multiplicity, so the cost is polynomial in n.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
 
 from . import linalg
 from .linalg import DEFAULT_TOL, Tolerances
-from .states import DensityMatrix
+from .states import State, same_power
 
 NEG_INF = float("-inf")
 
@@ -338,22 +342,14 @@ def np_divergence_exact(
 # --- commuting-state reductions ---
 
 
-def _joint_spectrum(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-    group_tol: float = 1e-9,
+def _co_diagonalize(
+    rho: State, sigma: State, tol: Tolerances, group_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Joint eigenvalue pairs (r_i, s_i) of a verified-commuting pair.
+    """Joint eigenvalue pairs of a dense commuting pair; rejects non-commuting input.
 
     Diagonalizes sigma, then diagonalizes rho inside each sigma eigenspace
-    (grouped by eigenvalue gaps above group_tol). Uses the LAPACK eigensolver:
-    tensor-power inputs reach dimension in the thousands, far beyond where the
-    Jacobi path is practical.
+    (grouped by eigenvalue gaps above group_tol). Uses the LAPACK eigensolver.
     """
-    if rho.dims != sigma.dims:
-        raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
     a = rho.matrix
     b = sigma.matrix
     prod = a @ b
@@ -375,9 +371,44 @@ def _joint_spectrum(
     return r_out, s_out
 
 
+def _joint_spectrum(
+    rho: State,
+    sigma: State,
+    *,
+    tol: Tolerances = DEFAULT_TOL,
+    group_tol: float = 1e-9,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Joint eigenvalue pairs (r_i, s_i) of a verified-commuting pair, with multiplicities.
+
+    Dense pairs are co-diagonalized directly and every pair has multiplicity
+    1. Two n-fold tensor powers over equal factor dims are co-diagonalized on
+    their factors instead: two states commute exactly when their n-th powers
+    do, and the product spectrum is fixed by the type of an eigenvector, the
+    count c_j of each of the m factor eigenpairs it holds. Each of the
+    C(n+m-1, m-1) types contributes the pair (prod r_j^c_j, prod s_j^c_j)
+    with multinomial multiplicity n! / prod c_j!, in place of the m^n
+    eigenvalues a dense diagonalization would return.
+    """
+    if rho.dims != sigma.dims:
+        raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
+    if not same_power(rho, sigma):
+        r, s = _co_diagonalize(rho, sigma, tol, group_tol)
+        return r, s, np.ones_like(r)
+    n = rho.n
+    r, s = _co_diagonalize(rho.factor, sigma.factor, tol, group_tol)
+    counts = np.array(
+        [np.bincount(c, minlength=len(r)) for c in combinations_with_replacement(range(len(r)), n)]
+    )
+    factorial = np.array([math.factorial(c) for c in range(n + 1)], dtype=float)
+    mult = factorial[n] / np.prod(factorial[counts], axis=1)
+    r_types = np.prod(np.clip(r, 0.0, None) ** counts, axis=1)
+    s_types = np.prod(np.clip(s, 0.0, None) ** counts, axis=1)
+    return r_types, s_types, mult
+
+
 def commuting_dh(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
+    rho: State,
+    sigma: State,
     eps: float,
     *,
     support_tol: float = 1e-11,
@@ -390,14 +421,16 @@ def commuting_dh(
     and runs the same sort-and-fill optimum as the Bernoulli engine.
     Non-commuting inputs are rejected.
     """
-    r, s = _joint_spectrum(rho, sigma)
+    r, s, mult = _joint_spectrum(rho, sigma)
     r = np.clip(r, 0.0, None)
     s = np.clip(s, 0.0, None)
     keep = (r > support_tol) | (s > support_tol)
-    r, s = r[keep], s[keep]
+    r, s, log2_mult = r[keep], s[keep], np.log2(mult[keep])
 
-    log2_p = np.where(r > support_tol, np.log2(np.maximum(r, 1e-300)), NEG_INF)
-    log2_q = np.where(s > support_tol, np.log2(np.maximum(s, 1e-300)), NEG_INF)
+    # a pair of multiplicity m stands for m outcomes of equal likelihood
+    # ratio, so it enters with m times both masses and the ratio unchanged
+    log2_p = np.where(r > support_tol, np.log2(np.maximum(r, 1e-300)) + log2_mult, NEG_INF)
+    log2_q = np.where(s > support_tol, np.log2(np.maximum(s, 1e-300)) + log2_mult, NEG_INF)
 
     # lump outcomes with numerically equal likelihood ratios so the merged
     # classes match the ideal reduced problem
@@ -425,8 +458,8 @@ def commuting_dh(
 
 
 def d_max_commuting(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
+    rho: State,
+    sigma: State,
     *,
     support_tol: float = 1e-11,
 ) -> float:
@@ -434,7 +467,7 @@ def d_max_commuting(
 
     +inf when the support of rho is not contained in the support of sigma.
     """
-    r, s = _joint_spectrum(rho, sigma)
+    r, s, _ = _joint_spectrum(rho, sigma)
     best = NEG_INF
     for ri, si in zip(r, s):
         if ri <= support_tol:

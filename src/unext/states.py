@@ -9,7 +9,8 @@ on dims (2, 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -17,7 +18,9 @@ from . import linalg
 from .linalg import DEFAULT_TOL
 
 # PSD validation by eigenvalue scan is skipped above this dimension; the
-# cheap checks (Hermiticity, trace, dims) always run.
+# cheap checks (Hermiticity, trace, dims) always run. Tensor powers are not
+# affected: a TensorPower holds its single-copy factor, which was validated
+# in full, so the limit only bites on large matrices supplied whole.
 _PSD_CHECK_MAX_DIM = 256
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -167,10 +170,61 @@ def erasure_family(q: float) -> DensityMatrix:
     return DensityMatrix((1.0 - q) * phi + q * erased, (2, 3))
 
 
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Quantum fidelity (trace-norm of sqrt(rho) sqrt(sigma), squared)."""
+@dataclass(frozen=True)
+class TensorPower:
+    """n-fold tensor power of a validated single-copy state, kept factored.
+
+    The dense matrix of dimension factor.dim ** n is built only when
+    `matrix` is read, and then cached. Functions that know the product
+    structure (fidelity, the commuting-pair divergences) work on the factor.
+    """
+
+    factor: DensityMatrix
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("tensor power requires n >= 1")
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.factor.dims * self.n
+
+    @property
+    def dim(self) -> int:
+        return self.factor.dim**self.n
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        out = self.factor.matrix
+        for _ in range(self.n - 1):
+            out = linalg.kron(out, self.factor.matrix)
+        return out
+
+
+State = Union[DensityMatrix, TensorPower]
+
+
+def same_power(rho: State, sigma: State) -> bool:
+    """True when both states are tensor powers of equal n over equal factor dims."""
+    return (
+        isinstance(rho, TensorPower)
+        and isinstance(sigma, TensorPower)
+        and rho.n == sigma.n
+        and rho.factor.dims == sigma.factor.dims
+    )
+
+
+def fidelity(rho: State, sigma: State) -> float:
+    """Quantum fidelity (trace-norm of sqrt(rho) sqrt(sigma), squared).
+
+    Multiplicative on tensor products, so two powers of equal n are handled
+    on their single-copy factors.
+    """
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
+    if same_power(rho, sigma):
+        return fidelity(rho.factor, sigma.factor) ** rho.n
     w, v = linalg.eig_hermitian(rho.matrix)
     sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     inner = sqrt_rho @ sigma.matrix @ sqrt_rho
@@ -182,14 +236,9 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def tensor_power(rho: DensityMatrix, n: int) -> DensityMatrix:
+def tensor_power(rho: DensityMatrix, n: int) -> TensorPower:
     """n-fold tensor power; subsystem dims are repeated n times."""
-    if n < 1:
-        raise ValueError("tensor power requires n >= 1")
-    out = rho.matrix
-    for _ in range(n - 1):
-        out = linalg.kron(out, rho.matrix)
-    return DensityMatrix(out, rho.dims * n)
+    return TensorPower(rho, n)
 
 
 def parse_state_spec(spec: str) -> DensityMatrix:

@@ -166,21 +166,30 @@ def test_commuting_dh_identual_states():
         assert abs(commuting_dh(rho, rho, eps) - math.log2(1 / (1 - eps))) < 1e-12
 
 
+def _dense(power):
+    return states.DensityMatrix(power.matrix, power.dims)
+
+
 def test_commuting_dh_matches_binary_reduction_small():
     eps = 0.05
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         rho = states.tensor_power(states.depolarizing_choi(0.15), n)
         sig = states.tensor_power(states.isotropic(0.75, 2), n)
         got = commuting_dh(rho, sig, eps)
         want = np_divergence(BinaryHypothesisPair(0.85, 0.75, n), eps).divergence
         assert abs(got - want) < 1e-9, n
+        # the factored path agrees with diagonalizing the dense power
+        assert abs(got - commuting_dh(_dense(rho), _dense(sig), eps)) < 1e-9, n
+        assert abs(d_max_commuting(rho, sig) - d_max_commuting(_dense(rho), _dense(sig))) < 1e-9, n
 
-    for n in (1, 2):
+    for n in (1, 2, 3):
         rho = states.tensor_power(states.erasure_output(0.35), n)
         sig = states.tensor_power(states.erasure_family(0.5), n)
         got = commuting_dh(rho, sig, eps)
         want = np_divergence(BinaryHypothesisPair(0.65, 0.5, n), eps).divergence
         assert abs(got - want) < 1e-9, n
+        assert abs(got - commuting_dh(_dense(rho), _dense(sig), eps)) < 1e-9, n
+        assert abs(d_max_commuting(rho, sig) - d_max_commuting(_dense(rho), _dense(sig))) < 1e-9, n
 
 
 def test_commuting_dh_rejects_noncommuting():
@@ -189,6 +198,17 @@ def test_commuting_dh_rejects_noncommuting():
     sig = states.isotropic(0.75, 2)
     with pytest.raises(ValueError):
         commuting_dh(rho, sig, 0.05)
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="do not commute"):
+            commuting_dh(states.tensor_power(rho, n), states.tensor_power(sig, n), 0.05)
+        with pytest.raises(ValueError, match="do not commute"):
+            d_max_commuting(states.tensor_power(rho, n), states.tensor_power(sig, n))
+    # powers of unequal n live on different dims
+    choi = states.depolarizing_choi(0.15)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        commuting_dh(states.tensor_power(choi, 2), states.tensor_power(sig, 3), 0.05)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        d_max_commuting(states.tensor_power(choi, 3), states.tensor_power(sig, 2))
 
 
 def test_d_max_spot_values():

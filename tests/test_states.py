@@ -90,6 +90,20 @@ def test_fidelity_spot_values():
     assert abs(fidelity(phi, mixed) - 0.25) < 1e-12
     for t in (0.1, 0.5, 0.85):
         assert abs(fidelity(isotropic(t, 2), phi) - t) < 1e-11
+    # tensor powers of commuting pairs: the closed form (sum_j sqrt(r_j s_j))^(2n),
+    # and the same value from the dense powers
+    pairs = (
+        (depolarizing_choi(0.3), isotropic(0.6, 2), np.sqrt(0.7 * 0.6) + np.sqrt(0.3 * 0.4)),
+        (erasure_output(0.35), erasure_family(0.5), np.sqrt(0.65 * 0.5) + np.sqrt(0.35 * 0.5)),
+    )
+    for a, b, root in pairs:
+        for n in (1, 2, 3, 4):
+            rho, sig = states.tensor_power(a, n), states.tensor_power(b, n)
+            got = fidelity(rho, sig)
+            assert abs(got - root ** (2 * n)) <= 1e-11, n
+            if rho.dim <= 256:
+                want = fidelity(DensityMatrix(rho.matrix, rho.dims), DensityMatrix(sig.matrix, sig.dims))
+                assert abs(got - want) <= 1e-9 * want, (n, got, want)
 
 
 def test_fidelity_symmetric_and_dimension_checked():
@@ -98,6 +112,8 @@ def test_fidelity_symmetric_and_dimension_checked():
     assert abs(fidelity(rho, sig) - fidelity(sig, rho)) < 1e-11
     with pytest.raises(ValueError):
         fidelity(rho, erasure_family(0.5))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fidelity(states.tensor_power(rho, 2), states.tensor_power(sig, 3))
 
 
 def test_fidelity_monotone_under_partial_trace():
@@ -133,7 +149,17 @@ def test_tensor_power_dims_and_values():
     rho = depolarizing_choi(0.15)
     sq = states.tensor_power(rho, 2)
     assert sq.dims == (2, 2, 2, 2)
+    assert sq.dim == 16
     assert np.allclose(sq.matrix, np.kron(rho.matrix, rho.matrix))
+    assert sq.matrix is sq.matrix  # built once, then cached
+    one = erasure_output(0.35)
+    cube = states.tensor_power(one, 3)
+    assert cube.dims == (2, 3) * 3
+    assert cube.dim == 216
+    assert np.allclose(cube.matrix, np.kron(np.kron(one.matrix, one.matrix), one.matrix))
+    DensityMatrix(cube.matrix, cube.dims)  # the dense power is a valid state
+    with pytest.raises(ValueError):
+        states.tensor_power(rho, 0)
 
 
 def test_parse_state_spec():
