@@ -8,11 +8,15 @@ any computable divergence value into a rate ceiling; the bound is vacuous
 (+inf) once 2^-D drops to 1/k.
 
 The reference states used here are the tensor-power isotropic family for the
-depolarizing channel (largest k-extendible parameter taken from the bisected
-threshold table below) and the partially-erased entangled family for the
+depolarizing channel, at its largest k-extendible parameter
+t*(k) = (k + 1) / (2k), and the partially-erased entangled family for the
 erasure channel (k-extendibility certified constructively at q = 1 - 1/k).
-Neither choice is claimed optimal; any k-extendible reference gives a valid
-ceiling.
+That threshold is the singlet fraction each clone keeps with A when one half
+of a maximally entangled pair goes through optimal universal 1 -> k cloning
+(Werner, PRA 58, 1827, 1998), whose symmetric-subspace output is the
+extension; no larger parameter is k-extendible (Johnson and Viola, PRA 88,
+032323, 2013). Neither choice is claimed optimal; any k-extendible reference
+gives a valid ceiling.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .extendibility import threshold_bisect
 from .hypothesis_testing import (
     BinaryHypothesisPair,
     d_max_commuting,
@@ -31,16 +34,6 @@ from .states import ChannelSpec, depolarizing_choi, isotropic
 
 INF = float("inf")
 
-# Largest k-extendible isotropic parameter (d = 2), bisected to +-0.005 with
-# threshold_bisect over the bracket [0.55, 0.92] ([0.52, 0.92] for k >= 4) at
-# solver tolerance 1e-7. Regenerate with compute_threshold_table(). The k ->
-# infinity entry is 1/2, where the family turns separable.
-ISOTROPIC_THRESHOLD_TABLE: dict[int, float] = {
-    2: 0.749453125,
-    3: 0.6685156250000002,
-    4: 0.6231249999999999,
-    5: 0.598125,
-}
 T_STAR_LIMIT = 0.5
 
 METHOD_POST = "post-processing"
@@ -48,35 +41,15 @@ METHOD_INTERLEAVED = "interleaved"
 METHOD_LIMIT = "limit"
 METHOD_ANTIDEGRADABLE = "antidegradable"
 
-# bisected thresholds carry +-0.005 uncertainty by construction; overrides are
-# validated against the upper edge of that bracket (the limit entry is exact)
-BISECTION_HALF_WIDTH = 0.005
-
-
-def compute_threshold_table(k_max: int = 5) -> dict[int, float]:
-    """Re-derive the isotropic threshold fixtures by bisection (slow: minutes)."""
-    table = {}
-    for k in range(2, k_max + 1):
-        lo = 0.55 if k <= 3 else 0.52
-        table[k] = threshold_bisect(lambda t: isotropic(t, 2), k, lo, 0.92)
-    return table
-
 
 def t_star(k: float) -> tuple[float, str]:
-    """Largest admissible isotropic parameter for order k, with its provenance.
+    """Largest k-extendible qubit isotropic parameter, with its provenance.
 
-    Bisected fixtures cover k = 2..5; beyond that the value is extrapolated
-    toward the separability limit 1/2 along c/k with the most conservative c
-    observed in the fixtures, which can only understate the threshold and so
-    keeps the reference state admissible.
+    (k + 1) / (2k) for finite k, falling to the separability limit 1/2.
     """
     if k == INF:
         return T_STAR_LIMIT, "limit"
-    k = int(k)
-    if k in ISOTROPIC_THRESHOLD_TABLE:
-        return ISOTROPIC_THRESHOLD_TABLE[k], "bisected"
-    c_lo = min(kk * (t - 0.5) for kk, t in ISOTROPIC_THRESHOLD_TABLE.items())
-    return 0.5 + c_lo / k, "extrapolated"
+    return (k + 1) / (2 * k), "closed-form"
 
 
 @dataclass(frozen=True)
@@ -150,8 +123,7 @@ def depolarizing_bound(query: BoundQuery) -> BoundResult:
     t = t_default
     if query.sigma_param is not None:
         t = query.sigma_param
-        slack = 1e-12 if query.k == INF else BISECTION_HALF_WIDTH
-        if t > t_default + slack:
+        if t > t_default + 1e-12:
             raise ValueError(
                 f"sigma parameter {t} exceeds the admissible threshold {t_default} "
                 f"for order {query.k}"

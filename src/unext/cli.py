@@ -338,9 +338,9 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
         f"status = {verdict.status.value}",
     )
 
-    # threshold fixtures agree with the solver at +-0.05 margins, and the
-    # fixture itself (less one bisection bracket) is confirmed admissible,
-    # which catches a fixture drifted upward past the real boundary
+    # the closed-form thresholds agree with the solver at +-0.05 margins, and
+    # a point 0.01 below each is confirmed admissible, which catches a
+    # threshold drifted upward past the real boundary
     for k in (2, 3):
         t_fix = t_star(k)[0]
         lo = check_k_extendible(ExtensionProblem(states.isotropic(t_fix - 0.05, 2), k))

@@ -13,10 +13,8 @@ tolerance, which alternating projections cannot turn into a proof. Callers
 that need reliability keep their query points away from the feasibility
 boundary.
 
-The PSD half of the loop uses the LAPACK eigensolver: profiling puts the
-Jacobi path at 4.5-300 ms per eigendecomposition over the relevant sizes
-(dimension 8 to 64) against 0.03-0.9 ms for LAPACK, and a single query can
-need tens of thousands of projections.
+The PSD half of the loop is one LAPACK eigendecomposition of the
+hermitized iterate; a single query can need tens of thousands of them.
 
 The affine half works in index space. Permutation-invariant operators on
 A (x) B^(x)k are constant on the orbits of matrix entries under simultaneous
@@ -265,7 +263,7 @@ def check_k_extendible(
     gap = float("inf")
     window: deque[float] = deque(maxlen=200)
     for it in range(1, prob.max_iter + 1):
-        y = linalg.psd_project(hermitize(x + p), method="lapack")
+        y = linalg.psd_project(x + p)
         p = x + p - y
         x = affine_project(y + q, rho, k)
         q = y + q - x

@@ -28,11 +28,12 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import DEFAULT_TOL
 from .states import State, same_power
 
 NEG_INF = float("-inf")
+# sigma eigenvalues closer than this share one eigenspace in _co_diagonalize
+_GROUP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -342,26 +343,25 @@ def np_divergence_exact(
 # --- commuting-state reductions ---
 
 
-def _co_diagonalize(
-    rho: State, sigma: State, tol: Tolerances, group_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _co_diagonalize(rho: State, sigma: State) -> tuple[np.ndarray, np.ndarray]:
     """Joint eigenvalue pairs of a dense commuting pair; rejects non-commuting input.
 
     Diagonalizes sigma, then diagonalizes rho inside each sigma eigenspace
-    (grouped by eigenvalue gaps above group_tol). Uses the LAPACK eigensolver.
+    (grouped by eigenvalue gaps above _GROUP_TOL). Uses the LAPACK eigensolver.
     """
     a = rho.matrix
     b = sigma.matrix
     prod = a @ b
     defect = float(np.max(np.abs(prod - prod.conj().T)))
-    if defect > tol.commuting * max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b)))):
+    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    if defect > DEFAULT_TOL.commuting * scale:
         raise ValueError(f"states do not commute: commutator defect {defect:.3e}")
     s_vals, v = np.linalg.eigh(b)
     r_out = np.empty_like(s_vals)
     s_out = np.empty_like(s_vals)
     start = 0
     for stop in range(1, len(s_vals) + 1):
-        if stop < len(s_vals) and s_vals[stop] - s_vals[stop - 1] <= group_tol:
+        if stop < len(s_vals) and s_vals[stop] - s_vals[stop - 1] <= _GROUP_TOL:
             continue
         block = v[:, start:stop]
         r_block = np.linalg.eigvalsh(block.conj().T @ (a @ block))
@@ -371,13 +371,7 @@ def _co_diagonalize(
     return r_out, s_out
 
 
-def _joint_spectrum(
-    rho: State,
-    sigma: State,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-    group_tol: float = 1e-9,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _joint_spectrum(rho: State, sigma: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Joint eigenvalue pairs (r_i, s_i) of a verified-commuting pair, with multiplicities.
 
     Dense pairs are co-diagonalized directly and every pair has multiplicity
@@ -392,10 +386,10 @@ def _joint_spectrum(
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
     if not same_power(rho, sigma):
-        r, s = _co_diagonalize(rho, sigma, tol, group_tol)
+        r, s = _co_diagonalize(rho, sigma)
         return r, s, np.ones_like(r)
     n = rho.n
-    r, s = _co_diagonalize(rho.factor, sigma.factor, tol, group_tol)
+    r, s = _co_diagonalize(rho.factor, sigma.factor)
     counts = np.array(
         [np.bincount(c, minlength=len(r)) for c in combinations_with_replacement(range(len(r)), n)]
     )

@@ -14,7 +14,6 @@ class Tolerances:
     """Central numerical tolerances. All defaults live here."""
 
     hermiticity: float = 1e-12
-    eig_residual: float = 1e-10
     trace: float = 1e-10
     psd: float = 1e-10
     commuting: float = 1e-10
@@ -35,31 +34,9 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def require_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL.hermiticity) -> np.ndarray:
-    """Check Hermiticity within tol (scaled by matrix magnitude) and return the Hermitian part."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    defect = hermiticity_defect(m)
-    if defect > tol * scale:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} exceeds {tol:.1e}")
-    return hermitize(m)
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; dimensions multiply."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
-    out: np.ndarray | None = None
-    for f in factors:
-        out = np.asarray(f, dtype=complex) if out is None else kron(out, f)
-    if out is None:
-        raise ValueError("empty factor list")
-    return out
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -113,106 +90,16 @@ def permutation_operator(d: int, k: int, perm: Sequence[int]) -> np.ndarray:
     return w
 
 
-def _jacobi_rotation(app: float, aqq: float, apq: complex) -> tuple[float, float, complex]:
-    """Parameters (c, s, phase) annihilating the off-diagonal of a 2x2 Hermitian block."""
-    mag = abs(apq)
-    phase = apq / mag
-    tau = (aqq - app) / (2.0 * mag)
-    if tau >= 0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    return c, s, phase
+def psd_project(h: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest positive semidefinite matrix to a square h.
 
-
-def _eigh_jacobi(h: np.ndarray, tol: float, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization with complex plane rotations.
-
-    Unconditionally convergent on Hermitian input; intended for the modest
-    matrix sizes this package works with.
+    The nearest PSD matrix to h is the nearest one to its Hermitian part, so
+    h is hermitized once and its negative eigenvalues are clamped at zero.
     """
-    a = np.array(h, dtype=complex)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return a.real.reshape(1).copy(), v
-    scale = max(1.0, float(np.max(np.abs(a))))
-    thresh = tol * scale
-
-    def _off(mat: np.ndarray) -> float:
-        # norm of the strictly off-diagonal part; computed entrywise to avoid
-        # the cancellation a ||A||^2 - ||diag||^2 formulation suffers from
-        return float(np.linalg.norm(mat - np.diag(np.diagonal(mat))))
-
-    for _ in range(max_sweeps):
-        if _off(a) <= thresh:
-            break
-        skip = thresh / max(1, n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                c, s, ph = _jacobi_rotation(a[p, p].real, a[q, q].real, apq)
-                sph = s * ph
-                sphc = s * np.conj(ph)
-                # columns: A <- A R
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - sphc * aq
-                a[:, q] = sph * ap + c * aq
-                # rows: A <- R^dagger A
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - sph * rq
-                a[q, :] = sphc * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - sphc * vq
-                v[:, q] = sph * vp + c * vq
-    else:
-        if _off(a) > 10 * thresh:
-            raise ArithmeticError("Jacobi eigensolver failed to converge")
-    w = np.diagonal(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def eig_hermitian(
-    h: np.ndarray,
-    *,
-    method: str = "jacobi",
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, real) and unitary eigenvector matrix of a Hermitian matrix.
-
-    method "jacobi" is the reference cyclic-Jacobi path; "lapack" delegates to
-    numpy.linalg.eigh and is used internally where profiling showed the Jacobi
-    path too slow (iterative solvers, large commuting-pair reductions). Both
-    methods satisfy the same reconstruction contract and are cross-checked in
-    the test suite.
-    """
-    hm = require_hermitian(h, tol.hermiticity)
-    if method == "jacobi":
-        # drive the off-norm two orders below the reconstruction contract
-        return _eigh_jacobi(hm, tol=tol.eig_residual * 1e-2)
-    if method == "lapack":
-        w, v = np.linalg.eigh(hm)
-        return w, v
-    raise ValueError(f"unknown eigensolver method {method!r}")
-
-
-def psd_project(h: np.ndarray, *, method: str = "jacobi", tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix: clamp negative eigenvalues at zero."""
-    w, v = eig_hermitian(h, method=method, tol=tol)
+    hm = hermitize(h)
+    w, v = np.linalg.eigh(hm)
     if w[0] >= 0.0:
-        return hermitize(h)
+        return hm
     wc = np.clip(w, 0.0, None)
     return hermitize((v * wc) @ v.conj().T)
 
@@ -245,9 +132,12 @@ def matrix_from_json_dict(data: dict) -> tuple[np.ndarray, tuple[int, ...]]:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if dim != int(np.prod(dims)):
         raise ValueError(f"dim {dim} does not equal the product of dims {dims}")
-    if len(entries) != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    try:
+        flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed matrix entries: {exc}") from exc
+    if flat.size != dim * dim:
+        raise ValueError(f"expected {dim * dim} entries, got {flat.size}")
     if not np.all(np.isfinite(flat.view(float))):
         raise ValueError("non-finite matrix entries")
     return flat.reshape(dim, dim), dims

@@ -225,10 +225,10 @@ def fidelity(rho: State, sigma: State) -> float:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
     if same_power(rho, sigma):
         return fidelity(rho.factor, sigma.factor) ** rho.n
-    w, v = linalg.eig_hermitian(rho.matrix)
+    w, v = np.linalg.eigh(linalg.hermitize(rho.matrix))
     sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     inner = sqrt_rho @ sigma.matrix @ sqrt_rho
-    wi, _ = linalg.eig_hermitian(linalg.hermitize(inner))
+    wi = np.linalg.eigvalsh(linalg.hermitize(inner))
     # eigenvalues at rounding-noise level would contribute O(1e-8) after the
     # square root; zero them instead
     wi = np.where(wi > 1e-14 * max(1.0, float(wi[-1])), wi, 0.0)

@@ -1,7 +1,10 @@
 import math
+from itertools import permutations
 
+import numpy as np
 import pytest
 
+from unext import linalg
 from unext.bounds import (
     INF,
     BoundQuery,
@@ -14,21 +17,28 @@ from unext.bounds import (
     optimize_k,
     t_star,
 )
+from unext.extendibility import certificate_defects
 from unext.hypothesis_testing import BinaryHypothesisPair, np_divergence
-from unext.states import ChannelSpec
+from unext.states import ChannelSpec, isotropic, max_entangled
 
 DEP = ChannelSpec("depolarizing", 0.15)
 ERA = ChannelSpec("erasure", 0.35)
 
 
 def test_threshold_table_shape():
-    values = [t_star(k)[0] for k in (2, 3, 4, 5)]
-    assert all(0.5 < v < 1.0 for v in values)
-    assert values == sorted(values, reverse=True)  # shrinks toward 1/2
+    # the thresholds are the closed form t*(k) = (k + 1) / (2k), and each one
+    # is k-extendible: the symmetric-subspace (optimal cloning) extension of
+    # the maximally entangled pair reduces to isotropic(t*(k), 2) on (A, B_i)
+    for k in (2, 3, 4, 5, 8, 1024):
+        assert t_star(k) == ((k + 1) / (2 * k), "closed-form")
     assert t_star(INF) == (0.5, "limit")
-    t8, prov = t_star(8)
-    assert prov == "extrapolated"
-    assert 0.5 < t8 < t_star(5)[0]
+    for k in (2, 3, 4, 5):
+        p_sym = sum(linalg.permutation_operator(2, k, perm) for perm in permutations(range(k)))
+        p_sym = linalg.kron(np.eye(2), p_sym / math.factorial(k))
+        cloned = p_sym @ linalg.kron(max_entangled(2).matrix, np.eye(2 ** (k - 1))) @ p_sym
+        cert = cloned / np.trace(cloned)
+        defects = certificate_defects(cert, isotropic(t_star(k)[0], 2), k)
+        assert max(defects.values()) <= 1e-12, (k, defects)
 
 
 def test_max_log2_m_edges():
@@ -64,6 +74,8 @@ def test_depolarizing_limit_consistency():
 def test_depolarizing_override_validation():
     with pytest.raises(ValueError):
         depolarizing_bound(BoundQuery(DEP, 1, 0.05, 2, sigma_param=0.80))
+    with pytest.raises(ValueError):
+        depolarizing_bound(BoundQuery(DEP, 1, 0.05, 2, sigma_param=0.7501))
     with pytest.raises(ValueError):
         depolarizing_bound(BoundQuery(DEP, 1, 0.05, INF, sigma_param=0.51))
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +74,11 @@ def test_check_rejects_invalid_matrix_file(tmp_path, capsys):
     path.write_text(json.dumps({"dim": 2, "dims": [2], "entries": [[1, 0]] * 4}))
     code, _, err = run_cli(capsys, "check", str(path), "--k", "2")
     assert code == 1  # trace is 2, not a state
+    path.write_text(json.dumps({"dim": 1, "dims": [1], "entries": [5]}))
+    code, _, err = run_cli(capsys, "check", str(path), "--k", "2")
+    assert code == 1
+    assert "unext: error:" in err
+    assert "Traceback" not in err
 
 
 def test_bound_csv_format(capsys):
@@ -87,7 +93,8 @@ def test_bound_csv_format(capsys):
     assert lines[1] == "n,rate_bound,k_used,sigma_param_used,method,divergence"
     fields = lines[2].split(",")
     assert fields[0] == "1"
-    assert abs(float(fields[1]) - 0.2636657230248903) < 1e-12
+    # t*(2) = 3/4: the n = 1 optimum is beta = 11/12, so log2(M) = log2(1.2)
+    assert abs(float(fields[1]) - math.log2(1.2)) < 1e-12
     assert fields[4] == "post-processing"
 
 
@@ -223,11 +230,13 @@ def test_selftest_passes_and_is_deterministic(capsys):
 
 
 def test_selftest_detects_fixture_perturbation(monkeypatch, capsys):
-    from unext import bounds as bounds_mod
+    closed_form = cli.t_star
 
-    perturbed = dict(bounds_mod.ISOTROPIC_THRESHOLD_TABLE)
-    perturbed[2] += 0.05
-    monkeypatch.setattr(bounds_mod, "ISOTROPIC_THRESHOLD_TABLE", perturbed)
+    def perturbed(k):
+        t, provenance = closed_form(k)
+        return (t + 0.05 if k == 2 else t), provenance
+
+    monkeypatch.setattr(cli, "t_star", perturbed)
     code, out, _ = run_cli(capsys, "selftest")
     assert code != 0
     assert "FAIL threshold-" in out
