@@ -14,7 +14,9 @@ that need reliability keep their query points away from the feasibility
 boundary.
 
 The PSD half of the loop is one LAPACK eigendecomposition of the
-hermitized iterate; a single query can need tens of thousands of them.
+hermitized iterate. For a rank-deficient state it runs on the face every
+extension lives on (facial reduction), which spares such states the
+thousands of iterations the degenerate directions cost.
 
 The affine half works in index space. Permutation-invariant operators on
 A (x) B^(x)k are constant on the orbits of matrix entries under simultaneous
@@ -55,6 +57,7 @@ class ExtendibilityVerdict:
     certificate: Optional[np.ndarray]
     residual: float
     iterations: int
+    face_dim: int
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,31 @@ def _index_maps(d_a: int, d_b: int, k: int) -> _IndexMaps:
     )
 
 
+def _face(rho: DensityMatrix, k: int, cutoff: float) -> Optional[np.ndarray]:
+    """Orthonormal basis of the face every k-extension lives on; None when rho has full rank.
+
+    An extension w reduces to rho on every pair (A, B_i), so w (v (x) I) = 0
+    for each v in ker rho placed on (A, B_i): the range of w lies in
+    S = intersection over i of (supp rho)_{A B_i} (x) H_rest. Eigenvalues of
+    rho at or below cutoff count as kernel. S starts as supp rho (x) I on
+    (A, B_1) and is cut down by its images under the transpositions
+    (B_1 B_i), each a row gather; the intersection keeps the right singular
+    vectors of V_i^dagger V with singular value 1.
+    """
+    d_a, d_b = rho.dims
+    w, u = np.linalg.eigh(rho.matrix)
+    if w[0] > cutoff:
+        return None
+    base = np.kron(u[:, w > cutoff], np.eye(d_b ** (k - 1)))
+    face = base
+    for i in range(1, k):
+        perm = list(range(k))
+        perm[0], perm[i] = i, 0
+        _, s, vh = np.linalg.svd(base[_conj_indices(d_a, d_b, k, tuple(perm))].conj().T @ face)
+        face = face @ vh[: int(np.sum(s >= 1.0 - 1e-9))].conj().T
+    return face
+
+
 def _bincount_complex(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(index, weights.real, n) + 1j * np.bincount(index, weights.imag, n)
 
@@ -246,6 +274,11 @@ def check_k_extendible(
     extension conditions within tol. InfeasibleSignal (heuristic) when the gap
     stabilizes above 10*tol across 200 consecutive iterations. Inconclusive
     when the iteration budget runs out first.
+
+    For a rank-deficient rho (eigenvalues <= 1e-3*tol count as kernel) the
+    PSD step is V psd_project(V^dagger (x + p) V) V^dagger with V from _face,
+    the exact projection onto the PSD matrices on a face holding every
+    extension. Certificates stay full-space; face_dim is the face dimension.
     """
     rho = prob.rho
     d_a, d_b = rho.dims
@@ -258,26 +291,31 @@ def check_k_extendible(
         for _ in range(k - 1):
             guess = kron(guess, marginal)
         x = affine_project(guess, rho, k)
+    face = _face(rho, k, 1e-3 * prob.tol)
+    face_dim = x.shape[0] if face is None else face.shape[1]
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     gap = float("inf")
     window: deque[float] = deque(maxlen=200)
     for it in range(1, prob.max_iter + 1):
-        y = linalg.psd_project(x + p)
+        if face is None:
+            y = linalg.psd_project(x + p)
+        else:
+            y = face @ linalg.psd_project(face.conj().T @ (x + p) @ face) @ face.conj().T
         p = x + p - y
         x = affine_project(y + q, rho, k)
         q = y + q - x
         gap = frobenius(y - x)
         if gap <= prob.tol:
-            return ExtendibilityVerdict(VerdictStatus.FEASIBLE, x, gap, it)
+            return ExtendibilityVerdict(VerdictStatus.FEASIBLE, x, gap, it, face_dim)
         window.append(gap)
         if (
             len(window) == window.maxlen
             and min(window) > 10.0 * prob.tol
             and window[0] - gap <= 1e-4 * gap
         ):
-            return ExtendibilityVerdict(VerdictStatus.INFEASIBLE_SIGNAL, None, gap, it)
-    return ExtendibilityVerdict(VerdictStatus.INCONCLUSIVE, None, gap, prob.max_iter)
+            return ExtendibilityVerdict(VerdictStatus.INFEASIBLE_SIGNAL, None, gap, it, face_dim)
+    return ExtendibilityVerdict(VerdictStatus.INCONCLUSIVE, None, gap, prob.max_iter, face_dim)
 
 
 def certificate_defects(cert: np.ndarray, rho: DensityMatrix, k: int) -> dict[str, float]:

@@ -98,7 +98,7 @@ def psd_project(h: np.ndarray) -> np.ndarray:
     """
     hm = hermitize(h)
     w, v = np.linalg.eigh(hm)
-    if w[0] >= 0.0:
+    if w.size == 0 or w[0] >= 0.0:
         return hm
     wc = np.clip(w, 0.0, None)
     return hermitize((v * wc) @ v.conj().T)

@@ -17,6 +17,7 @@ from unext.extendibility import (
     threshold_bisect,
     twirl_uu,
     _conj_indices,
+    _face,
     _index_maps,
 )
 from unext.states import (
@@ -115,14 +116,16 @@ def test_affine_project_idempotent_and_nearest():
 
 
 def test_feasible_cases_and_certificates():
+    # face_dim: the erased family's face, the full space for full-rank states
     cases = [
-        (erasure_family(0.5), 2),
-        (isotropic(0.70, 2), 2),
-        (isotropic(0.60, 2), 3),
+        (erasure_family(0.5), 2, 4),
+        (isotropic(0.70, 2), 2, 8),
+        (isotropic(0.60, 2), 3, 16),
     ]
-    for rho, k in cases:
+    for rho, k, face_dim in cases:
         verdict = check_k_extendible(ExtensionProblem(rho, k))
         assert verdict.status is VerdictStatus.FEASIBLE, (rho.dims, k)
+        assert verdict.face_dim == face_dim, (rho.dims, k)
         defects = certificate_defects(verdict.certificate, rho, k)
         tol = 1e-7
         assert defects["psd"] <= tol
@@ -165,6 +168,58 @@ def test_scale_guard():
         ExtensionProblem(erasure_family(0.5), 8)  # 2 * 3^8 blows the guard
     with pytest.raises(ValueError):
         ExtensionProblem(isotropic(0.5, 2), 1)
+
+
+def test_face_of_erased_family_holds_its_certificates():
+    # the face is the same for every erased weight in (0, 1); dims 4/18, 5/54, 6/162
+    for k, face_dim in [(2, 4), (3, 5), (4, 6)]:
+        face = _face(erasure_family(1.0 - 1.0 / k), k, 1e-10)
+        assert face.shape == (2 * 3**k, face_dim), k
+        assert np.max(np.abs(face.conj().T @ face - np.eye(face_dim))) < 1e-12, k
+        cert = erasure_certificate(k)
+        proj = face @ face.conj().T
+        assert np.max(np.abs(proj @ cert @ proj - cert)) <= 1e-12, k
+
+
+def test_face_reduced_solver_on_rank_deficient_inputs():
+    rho = erasure_family(0.54)
+    verdict = check_k_extendible(ExtensionProblem(rho, 2))
+    assert verdict.status is VerdictStatus.FEASIBLE
+    assert verdict.face_dim == 4
+    assert verdict.iterations <= 60
+    # a local-unitary rotation moves the support but not the face dimension or the run
+    rng = np.random.default_rng(8)
+
+    def unitary(d):
+        return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+    u = np.kron(unitary(2), unitary(3))
+    rotated = DensityMatrix(linalg.hermitize(u @ rho.matrix @ u.conj().T), (2, 3))
+    again = check_k_extendible(ExtensionProblem(rotated, 2))
+    assert (again.status, again.face_dim, again.iterations) == (
+        verdict.status,
+        verdict.face_dim,
+        verdict.iterations,
+    )
+    # certificates stay full-space and are checked against the unreduced state
+    for r, v in [(rho, verdict), (rotated, again)]:
+        assert v.certificate.shape == (18, 18)
+        assert max(certificate_defects(v.certificate, r, 2).values()) <= 1e-7
+    # eigenvalues just below the 1e-3*tol cut-off are dropped from the face,
+    # and the certificate still passes against the unreduced state
+    noisy = DensityMatrix((1 - 5.4e-10) * rho.matrix + 9e-11 * np.eye(6), (2, 3))
+    near = check_k_extendible(ExtensionProblem(noisy, 2))
+    assert (near.status, near.face_dim) == (VerdictStatus.FEASIBLE, 4)
+    assert max(certificate_defects(near.certificate, noisy, 2).values()) <= 1e-7
+    inside = check_k_extendible(ExtensionProblem(erasure_family(0.75), 3))
+    assert inside.status is VerdictStatus.FEASIBLE
+    assert inside.face_dim == 5
+    assert inside.iterations <= 300
+    outside = check_k_extendible(ExtensionProblem(erasure_family(0.62), 3))
+    assert outside.status is VerdictStatus.INFEASIBLE_SIGNAL
+    # a pure entangled state has the face {0}; the stall rule still ends the run
+    pure = check_k_extendible(ExtensionProblem(isotropic(1.0, 2), 2))
+    assert (pure.status, pure.face_dim) == (VerdictStatus.INFEASIBLE_SIGNAL, 0)
 
 
 def test_threshold_bisect_isotropic_k2():

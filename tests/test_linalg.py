@@ -119,6 +119,12 @@ def test_psd_project_is_frobenius_nearest():
         assert best <= np.linalg.norm(h - psd) + 1e-12
 
 
+def test_psd_project_empty_matrix():
+    # the PSD step on an empty face (a pure entangled state) projects a 0x0 matrix
+    got = linalg.psd_project(np.zeros((0, 0), dtype=complex))
+    assert got.shape == (0, 0)
+
+
 def test_matrix_json_round_trip(tmp_path):
     m = random_hermitian(6, 21)
     path = tmp_path / "m.json"
