@@ -11,23 +11,32 @@ checkable certificate. An InfeasibleSignal verdict is heuristic: it reports
 that the distance between the two constraint sets stabilized well above the
 tolerance, which alternating projections cannot turn into a proof. Callers
 that need reliability keep their query points away from the feasibility
-boundary.
+boundary. The one exception is an empty face (below), which proves
+infeasibility.
 
-The PSD half of the loop is one LAPACK eigendecomposition of the
-hermitized iterate. For a rank-deficient state it runs on the face every
-extension lives on (facial reduction), which spares such states the
-thousands of iterations the degenerate directions cost.
+The loop runs in Schur-Weyl blocks. Every iterate commutes with the
+permutations of the B factors, so it is a direct sum over the S_k irreps
+lambda (at most d_B rows) of X_lambda (x) I_{s_lambda}, where X_lambda acts on
+A (x) one copy of the GL(d_B) irrep (dimension d_A m_lambda) and s_lambda is
+the S_k irrep dimension. The solver keeps only the blocks X_lambda, with the
+Frobenius norm weighted by s_lambda: the PSD step is one eigendecomposition
+per block, the affine step one precomputed linear map, and a full-space
+operator is formed only for the certificate. The block bases are built once
+per (d_B, k) and cached. For a rank-deficient state the PSD step runs on the
+face every extension lives on (facial reduction), compressed into the same
+blocks, which spares such states the thousands of iterations the degenerate
+directions cost.
 
-The affine half works in index space. Permutation-invariant operators on
-A (x) B^(x)k are constant on the orbits of matrix entries under simultaneous
-permutation of the row and column B digits, so the group average is a mean
-over orbits, and the reduction onto (A, B_1) and its adjoint are sums through
-a fixed entry map. Both maps are built once per (d_a, d_b, k) and cached, and
-the affine projection keeps its iterate as one value per orbit.
+Full-space operators enter and leave the blocks through the group average,
+which works in index space: permutation-invariant operators on A (x) B^(x)k
+are constant on the orbits of matrix entries under simultaneous permutation
+of the row and column B digits, so the average is a mean over orbits through
+a cached label map.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -37,12 +46,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .linalg import frobenius, hermitize, kron, partial_trace, permutation_operator
+from .linalg import hermitize, kron, partial_trace
 from .states import DensityMatrix, isotropic, max_entangled, erasure_family
 
 MAX_EXTENSION_DIM = 4096
-_SYM_TOL = 1e-12
-_AFFINE_TOL = 1e-12
 
 
 class VerdictStatus(Enum):
@@ -84,14 +91,20 @@ class ExtensionProblem:
             raise ValueError("tol must be positive and max_iter >= 1")
 
 
+
+
+def _b_gather(d_b: int, k: int, perm: tuple[int, ...]) -> np.ndarray:
+    """Index array g with (W v)[j] == v[g[j]] for W = permutation_operator(d_b, k, perm)."""
+    shape = (d_b,) * k
+    digits = np.unravel_index(np.arange(d_b**k), shape)
+    return np.ravel_multi_index(tuple(digits[p] for p in perm), shape)
+
+
 @lru_cache(maxsize=None)
 def _conj_indices(d_a: int, d_b: int, k: int, perm: tuple[int, ...]) -> np.ndarray:
     """Index array src with W omega W^dagger == omega[ix_(src, src)] for the lifted permutation."""
-    wb = permutation_operator(d_b, k, perm).real
-    j_of_row = np.argmax(wb, axis=1)
     block = d_b**k
-    src = (np.arange(d_a)[:, None] * block + j_of_row[None, :]).reshape(-1)
-    return src
+    return (np.arange(d_a)[:, None] * block + _b_gather(d_b, k, perm)[None, :]).reshape(-1)
 
 
 def _generator_perms(k: int) -> list[tuple[int, ...]]:
@@ -105,17 +118,15 @@ def _generator_perms(k: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class _IndexMaps:
-    """Index maps of the extension space A (x) B^(x)k, row-major over its entries."""
+    """Orbits of the entries of A (x) B^(x)k under B-factor permutations, row-major."""
 
     labels: np.ndarray  # orbit label of every entry
     sizes: np.ndarray  # number of entries in each orbit
-    red_orbit: np.ndarray  # orbit of each entry whose B_2..B_k row and column digits agree
-    red_target: np.ndarray  # the (A, B_1) entry that entry adds to under Tr_{B_2..B_k}
 
 
 @lru_cache(maxsize=None)
 def _index_maps(d_a: int, d_b: int, k: int) -> _IndexMaps:
-    """Orbit labels of the entries under B-factor permutations, and the reduction map.
+    """Orbit labels of the entries under B-factor permutations.
 
     A permutation of the B factors moves entry (r, c), with B digits
     (b_1..b_k) and (b'_1..b'_k), onto every entry with the same A digits and
@@ -151,19 +162,159 @@ def _index_maps(d_a: int, d_b: int, k: int) -> _IndexMaps:
     np.cumsum(rank, out=rank)
     rank -= 1
     labels = rank[rep.reshape(-1)]
-    n_ab = d_a * d_b
-    rest = d_b ** (k - 1)
-    ab = np.arange(n_ab)[:, None, None]
-    ab2 = np.arange(n_ab)[None, :, None]
-    tail = np.arange(rest)[None, None, :]
-    entry = (ab * rest + tail) * dim + ab2 * rest + tail
-    target = np.broadcast_to(ab * n_ab + ab2, entry.shape)
-    return _IndexMaps(
-        labels=labels,
-        sizes=np.bincount(labels),
-        red_orbit=labels[entry.reshape(-1)],
-        red_target=target.reshape(-1),
+    return _IndexMaps(labels=labels, sizes=np.bincount(labels))
+
+
+@dataclass(frozen=True)
+class _Irrep:
+    """One S_k irrep lambda of B^(x)k in Schur-Weyl coordinates."""
+
+    mult: int  # s_lambda, the S_k irrep dimension: copies of the GL(d_b) irrep
+    basis: np.ndarray  # d_b^k x m_lambda, real orthonormal basis of one copy
+    red: np.ndarray  # m^2 x d_b^2: a block's share of the reduction onto B_1
+    corr: np.ndarray  # d_b^2 x m^2: minimum-norm block change for a reduction change
+
+
+def _shapes(k: int, rows: int, cap: Optional[int] = None) -> list[tuple[int, ...]]:
+    """Partitions of k into at most rows parts, each part at most cap, largest first."""
+    if k == 0:
+        return [()]
+    if rows == 0:
+        return []
+    top = k if cap is None else min(k, cap)
+    return [(part,) + rest for part in range(top, 0, -1) for rest in _shapes(k - part, rows - 1, part)]
+
+
+def _irrep_dim(shape: tuple[int, ...]) -> int:
+    """Dimension of the S_k irrep of a shape, by the hook length formula."""
+    heights = [sum(1 for length in shape if length > c) for c in range(shape[0])]
+    hooks = math.prod(
+        length - c + heights[c] - r - 1 for r, length in enumerate(shape) for c in range(length)
     )
+    return math.factorial(sum(shape)) // hooks
+
+
+@lru_cache(maxsize=None)
+def _schur_weyl(d_b: int, k: int) -> tuple[_Irrep, ...]:
+    """Schur-Weyl coordinates of the permutation-invariant operators on B^(x)k.
+
+    For each shape lambda the kept copy of the GL(d_b) irrep is the one whose
+    S_k part is the Gelfand-Tsetlin vector of the row-reading tableau T: the
+    joint eigenspace of the Jucys-Murphy elements X_j = sum_{i<j} (i j) with
+    the contents of T's boxes as eigenvalues. It is one eigenspace of the
+    fixed real combination H = sum_j sqrt(p_j) X_j over the first primes p_j.
+    Square roots of distinct primes are linearly independent over the
+    rationals, so distinct content vectors give distinct eigenvalues; on the
+    shapes the dimension guard admits they stay more than 5e-4 apart.
+    Transpositions act as digit gathers and keep the multiset of digits, so H
+    is diagonalized one digit-type sector at a time.
+
+    A block X on A (x) copy lifts to symmetrize(s (I (x) V) X (I (x) V)^T),
+    which is X (x) I_s. Its reduction onto (A, B_1) contracts X with
+    r = (s / k) sum_i Tr_{all but B_i} (V_u V_u'^T), built by contracting the
+    basis with itself. With G = sum_lambda r r^T / s, corr = G^-1 r / s is the
+    map K = W^-1 R^T (R W^-1 R^T)^-1 for the weights W = s, so z + K(rho - Rz)
+    is the projection onto the reduction constraint in the s-weighted norm.
+    """
+    # red and corr hold d_b^2 sum_lambda m^2 = d_b^2 C(d_b^2 + k - 1, k) entries
+    if d_b * d_b * math.comb(d_b * d_b + k - 1, k) > MAX_EXTENSION_DIM**2:
+        raise ValueError(
+            f"the Schur-Weyl maps of d_B = {d_b}, k = {k} exceed the entries of a dense "
+            f"operator at the solver guard {MAX_EXTENSION_DIM}"
+        )
+    n = d_b**k
+    digits = np.array(np.unravel_index(np.arange(n), (d_b,) * k))
+    primes = [p for p in range(2, 8 * k) if all(p % q for q in range(2, p))]
+    weights = np.sqrt([1] + primes[: k - 1])  # X_0 = 0, so the first weight is unused
+    shapes = _shapes(k, d_b)
+    # box contents c - r of each row-reading tableau, in filling order
+    targets = [weights @ [c - r for r, ln in enumerate(s) for c in range(ln)] for s in shapes]
+    swaps = []
+    for j in range(1, k):
+        for i in range(j):
+            perm = list(range(k))
+            perm[i], perm[j] = j, i
+            swaps.append((weights[j], _b_gather(d_b, k, tuple(perm))))
+    _, sector = np.unique(np.sort(digits, axis=0), axis=1, return_inverse=True)
+    sector = sector.reshape(-1)
+    pos = np.empty(n, dtype=np.intp)
+    columns: list[list[np.ndarray]] = [[] for _ in shapes]
+    for label in range(sector.max() + 1):
+        idx = np.flatnonzero(sector == label)
+        local = np.arange(idx.size)
+        pos[idx] = local
+        h = np.zeros((idx.size, idx.size))
+        for w, g in swaps:
+            h[pos[g[idx]], local] += w
+        e, v = np.linalg.eigh(h)
+        for cols, t in zip(columns, targets):
+            keep = np.abs(e - t) < 1e-6
+            cols.append(np.zeros((n, int(keep.sum()))))
+            cols[-1][idx] = v[:, keep]
+    mults = [_irrep_dim(shape) for shape in shapes]
+    bases = [np.hstack(cols) for cols in columns]
+    if sum(s * b.shape[1] for s, b in zip(mults, bases)) != n:
+        raise ArithmeticError(f"Schur-Weyl blocks of ({d_b}, {k}) do not fill B^(x)k")
+    reds = []
+    for s, basis in zip(mults, bases):
+        m = basis.shape[1]
+        t = basis.reshape((d_b,) * k + (m,))
+        r = np.zeros((d_b, d_b, m, m))
+        for i in range(k):
+            ti = np.moveaxis(t, i, 0).reshape(d_b, -1, m)
+            r += ti.transpose(0, 2, 1)[:, None] @ ti[None]
+        reds.append(r.reshape(d_b * d_b, m * m) * (s / k))
+    gram = sum(r @ r.T / s for s, r in zip(mults, reds))
+    # complex copies spare each matmul with a complex block a dtype cast
+    return tuple(
+        _Irrep(mult=s, basis=basis, red=r.T.astype(complex), corr=np.linalg.solve(gram, r) / s + 0j)
+        for s, basis, r in zip(mults, bases, reds)
+    )
+
+
+def _rows(x: np.ndarray, d_a: int) -> np.ndarray:
+    """Regroup a matrix on A (x) C^m from ((a, u), (a', u')) to ((a, a'), (u, u'))."""
+    m = x.shape[0] // d_a
+    return x.reshape(d_a, m, d_a, m).transpose(0, 2, 1, 3).reshape(d_a * d_a, m * m)
+
+
+def _from_rows(rows: np.ndarray, d_a: int) -> np.ndarray:
+    """Inverse of _rows."""
+    m = math.isqrt(rows.shape[1])
+    return rows.reshape(d_a, d_a, m, m).transpose(0, 2, 1, 3).reshape(d_a * m, d_a * m)
+
+
+def _compress(omega: np.ndarray, d_a: int, d_b: int, k: int) -> list[np.ndarray]:
+    """Blocks (I (x) V)^T omega (I (x) V) of a permutation-invariant omega, one per irrep."""
+    n = d_b**k
+    w4 = _rows(omega, d_a).reshape(d_a, d_a, n, n)
+    return [
+        _from_rows((irr.basis.T @ w4 @ irr.basis).reshape(d_a * d_a, -1), d_a)
+        for irr in _schur_weyl(d_b, k)
+    ]
+
+
+def _lift(blocks: list[np.ndarray], d_a: int, d_b: int, k: int) -> np.ndarray:
+    """Full-space operator symmetrize(sum_lambda s (I (x) V) X (I (x) V)^T) of the blocks."""
+    full = 0.0
+    for x, irr in zip(blocks, _schur_weyl(d_b, k)):
+        m = irr.basis.shape[1]
+        x4 = _rows(x, d_a).reshape(d_a, d_a, m, m)
+        full = full + irr.mult * (irr.basis @ x4 @ irr.basis.T)
+    return symmetrize(_from_rows(full.reshape(d_a * d_a, -1), d_a), d_a, d_b, k)
+
+
+def _block_norm(blocks: list[np.ndarray], irreps: tuple[_Irrep, ...]) -> float:
+    """Frobenius norm of the full-space operator: sqrt(sum_lambda s ||X_lambda||^2)."""
+    return math.sqrt(sum(irr.mult * float(np.vdot(x, x).real) for x, irr in zip(blocks, irreps)))
+
+
+def _affine(
+    blocks: list[np.ndarray], target: np.ndarray, irreps: tuple[_Irrep, ...], d_a: int
+) -> list[np.ndarray]:
+    """Weighted-norm projection z + K(rho - R z) onto the reduction constraint; target is _rows(rho)."""
+    resid = target - sum(_rows(x, d_a) @ irr.red for x, irr in zip(blocks, irreps))
+    return [x + _from_rows(resid @ irr.corr, d_a) for x, irr in zip(blocks, irreps)]
 
 
 def _face(rho: DensityMatrix, k: int, cutoff: float) -> Optional[np.ndarray]:
@@ -191,20 +342,6 @@ def _face(rho: DensityMatrix, k: int, cutoff: float) -> Optional[np.ndarray]:
     return face
 
 
-def _bincount_complex(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    return np.bincount(index, weights.real, n) + 1j * np.bincount(index, weights.imag, n)
-
-
-def _orbit_means(omega: np.ndarray, d_a: int, d_b: int, k: int) -> tuple[np.ndarray, _IndexMaps]:
-    """Mean of omega over each orbit of entries, and the index maps of its shape."""
-    dim = d_a * d_b**k
-    omega = np.asarray(omega, dtype=complex)
-    if omega.shape != (dim, dim):
-        raise ValueError(f"omega shape {omega.shape} does not match dims ({d_a}, {d_b}^{k})")
-    maps = _index_maps(d_a, d_b, k)
-    return _bincount_complex(maps.labels, omega.reshape(-1), maps.sizes.size) / maps.sizes, maps
-
-
 def symmetrize(omega: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
     """Average omega over permutations of the k B factors.
 
@@ -215,9 +352,15 @@ def symmetrize(omega: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
     from _index_maps, built once per (d_a, d_b, k); a call is two bincounts
     and a gather, whatever k is.
     """
-    means, maps = _orbit_means(omega, d_a, d_b, k)
     dim = d_a * d_b**k
-    return means[maps.labels].reshape(dim, dim)
+    omega = np.asarray(omega, dtype=complex)
+    if omega.shape != (dim, dim):
+        raise ValueError(f"omega shape {omega.shape} does not match dims ({d_a}, {d_b}^{k})")
+    maps = _index_maps(d_a, d_b, k)
+    flat = omega.reshape(-1)
+    n = maps.sizes.size
+    sums = np.bincount(maps.labels, flat.real, n) + 1j * np.bincount(maps.labels, flat.imag, n)
+    return (sums / maps.sizes)[maps.labels].reshape(dim, dim)
 
 
 def symmetry_defect(omega: np.ndarray, d_a: int, d_b: int, k: int) -> float:
@@ -235,32 +378,20 @@ def affine_project(omega: np.ndarray, rho: DensityMatrix, k: int) -> np.ndarray:
     The set consists of Hermitian matrices that are permutation-invariant on
     the B factors and whose reduction onto (A, B_1) equals rho (unit trace
     follows). Projecting onto the symmetric subspace first is lossless since
-    the set lies inside it; the reduction constraint is then restored by the
-    minimum-norm symmetric correction, which has a closed form: with residual
-    R = rho - reduction and d = d_B, the correction is the symmetrization of
-    (k/d^(k-1)) R - ((k-1)/d^k) (Tr_B R (x) I_B1), tensored with identities.
-    One pass lands on the set to rounding accuracy; the loop is a safeguard.
-
-    The iterate is kept as one value per orbit of entries: the reduction sums
-    those values through the precomputed (A, B_1) map, and the symmetrized
-    lift of the correction averages it back over the orbits through the same
-    map.
+    the set lies inside it. The symmetrized matrix is compressed to its
+    Schur-Weyl blocks, where the reduction constraint is restored by the
+    minimum-norm correction in the s_lambda-weighted norm (the Frobenius norm
+    of the full space), and lifted back.
     """
     d_a, d_b = rho.dims
-    n_ab = d_a * d_b
-    x, maps = _orbit_means(hermitize(omega), d_a, d_b, k)
-    eye_b = np.eye(d_b)[None, :, None, :]
-    for _ in range(50):
-        reduction = _bincount_complex(maps.red_target, x[maps.red_orbit], n_ab * n_ab)
-        resid = rho.matrix - reduction.reshape(n_ab, n_ab)
-        if float(np.max(np.abs(resid))) <= _AFFINE_TOL:
-            dim = d_a * d_b**k
-            return x[maps.labels].reshape(dim, dim)
-        resid4 = resid.reshape(d_a, d_b, d_a, d_b)
-        marg = np.trace(resid4, axis1=1, axis2=3)[:, None, :, None]
-        lam = (k / d_b ** (k - 1)) * resid4 - ((k - 1) / d_b**k) * marg * eye_b
-        x = x + _bincount_complex(maps.red_orbit, lam.reshape(-1)[maps.red_target], x.size) / maps.sizes
-    raise ArithmeticError("affine projection did not reach its joint residual")
+    return _lift(_projected_blocks(omega, rho, k), d_a, d_b, k)
+
+
+def _projected_blocks(omega: np.ndarray, rho: DensityMatrix, k: int) -> list[np.ndarray]:
+    """Schur-Weyl blocks of affine_project(omega, rho, k)."""
+    d_a, d_b = rho.dims
+    blocks = _compress(symmetrize(hermitize(omega), d_a, d_b, k), d_a, d_b, k)
+    return _affine(blocks, _rows(rho.matrix, d_a), _schur_weyl(d_b, k), d_a)
 
 
 def check_k_extendible(
@@ -275,39 +406,63 @@ def check_k_extendible(
     stabilizes above 10*tol across 200 consecutive iterations. Inconclusive
     when the iteration budget runs out first.
 
+    The iterates are the Schur-Weyl blocks of the full-space ones (see the
+    module docstring): the start point (rho (x) rho_B^(x)(k-1), or start)
+    enters as the blocks of its symmetrization, the gap is the
+    s_lambda-weighted norm of the block differences, which equals the
+    full-space Frobenius norm, and the certificate leaves as the lift of the
+    affine blocks. Only the PSD step carries a Dykstra correction: the
+    affine step's increments are normal to the affine set, and its
+    projection ignores normal components.
+
     For a rank-deficient rho (eigenvalues <= 1e-3*tol count as kernel) the
-    PSD step is V psd_project(V^dagger (x + p) V) V^dagger with V from _face,
-    the exact projection onto the PSD matrices on a face holding every
-    extension. Certificates stay full-space; face_dim is the face dimension.
+    PSD step of block X is F psd_project(F^dagger X F) F^dagger, with F an
+    orthonormal basis of the face's block: the exact projection onto the PSD
+    matrices on a face holding every extension. face_dim is the full-space
+    face dimension. An empty face (a pure entangled rho) holds no unit-trace
+    operator, so the query is infeasible by proof, not by heuristic, and
+    returns before the loop with 0 iterations and the norm of the affine
+    start point as residual.
     """
     rho = prob.rho
     d_a, d_b = rho.dims
     k = prob.k
-    if start is not None:
-        x = affine_project(start, rho, k)
-    else:
+    irreps = _schur_weyl(d_b, k)
+    target = _rows(rho.matrix, d_a)
+    if start is None:
         marginal = partial_trace(rho.matrix, rho.dims, keep=[1])
-        guess = rho.matrix
+        start = rho.matrix
         for _ in range(k - 1):
-            guess = kron(guess, marginal)
-        x = affine_project(guess, rho, k)
+            start = kron(start, marginal)
+    x = _projected_blocks(start, rho, k)
     face = _face(rho, k, 1e-3 * prob.tol)
-    face_dim = x.shape[0] if face is None else face.shape[1]
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
+    face_dim = d_a * d_b**k if face is None else face.shape[1]
+    if face_dim == 0:
+        return ExtendibilityVerdict(
+            VerdictStatus.INFEASIBLE_SIGNAL, None, _block_norm(x, irreps), 0, 0
+        )
+    # the face projector is permutation-invariant: its blocks are projectors
+    # too, and F_lambda spans the eigenvalue-1 eigenvectors of each
+    faces = None
+    if face is not None:
+        blocks = _compress(face @ face.conj().T, d_a, d_b, k)
+        faces = [v[:, w > 0.5] for w, v in map(np.linalg.eigh, blocks)]
+    p = [np.zeros_like(b) for b in x]
     gap = float("inf")
     window: deque[float] = deque(maxlen=200)
     for it in range(1, prob.max_iter + 1):
-        if face is None:
-            y = linalg.psd_project(x + p)
+        z = [xl + pl for xl, pl in zip(x, p)]
+        if faces is None:
+            y = [linalg.psd_project(zl) for zl in z]
         else:
-            y = face @ linalg.psd_project(face.conj().T @ (x + p) @ face) @ face.conj().T
-        p = x + p - y
-        x = affine_project(y + q, rho, k)
-        q = y + q - x
-        gap = frobenius(y - x)
+            y = [f @ linalg.psd_project(f.conj().T @ zl @ f) @ f.conj().T for f, zl in zip(faces, z)]
+        p = [zl - yl for zl, yl in zip(z, y)]
+        x = _affine(y, target, irreps, d_a)
+        gap = _block_norm([yl - xl for yl, xl in zip(y, x)], irreps)
         if gap <= prob.tol:
-            return ExtendibilityVerdict(VerdictStatus.FEASIBLE, x, gap, it, face_dim)
+            return ExtendibilityVerdict(
+                VerdictStatus.FEASIBLE, _lift(x, d_a, d_b, k), gap, it, face_dim
+            )
         window.append(gap)
         if (
             len(window) == window.maxlen

@@ -91,22 +91,17 @@ def permutation_operator(d: int, k: int, perm: Sequence[int]) -> np.ndarray:
 
 
 def psd_project(h: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix to a square h.
+    """Frobenius-nearest positive semidefinite matrix to a Hermitian h.
 
-    The nearest PSD matrix to h is the nearest one to its Hermitian part, so
-    h is hermitized once and its negative eigenvalues are clamped at zero.
+    Negative eigenvalues are clamped at zero. Only the lower triangle of h is
+    read (the LAPACK convention), so h must be Hermitian to rounding; the
+    nearest PSD matrix to any square matrix is that of its Hermitian part,
+    which callers form with hermitize where needed.
     """
-    hm = hermitize(h)
-    w, v = np.linalg.eigh(hm)
+    w, v = np.linalg.eigh(h)
     if w.size == 0 or w[0] >= 0.0:
-        return hm
-    wc = np.clip(w, 0.0, None)
-    return hermitize((v * wc) @ v.conj().T)
-
-
-def frobenius(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(m)))
+        return h
+    return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
 # --- JSON serialization (consumed by the CLI `check` subcommand) ---

@@ -16,9 +16,13 @@ from unext.extendibility import (
     symmetry_defect,
     threshold_bisect,
     twirl_uu,
+    _block_norm,
+    _compress,
     _conj_indices,
     _face,
     _index_maps,
+    _lift,
+    _schur_weyl,
 )
 from unext.states import (
     DensityMatrix,
@@ -82,6 +86,25 @@ def test_symmetrize_matches_full_average():
         assert np.max(np.abs(got - full)) < 1e-11, (d_a, d_b, k)
         n_orbits = _index_maps(d_a, d_b, k).sizes.size
         assert n_orbits == d_a**2 * math.comb(d_b**2 + k - 1, k), (d_a, d_b, k)
+
+
+def test_schur_weyl_blocks_match_dense():
+    shapes = [(2, 2, k) for k in range(2, 7)] + [(2, 3, 2), (2, 3, 3), (3, 3, 2)]
+    for d_a, d_b, k in shapes:
+        irreps = _schur_weyl(d_b, k)
+        sizes = [irr.basis.shape[1] for irr in irreps]
+        # the blocks hold as many parameters as there are orbits, and fill B^(x)k
+        assert sum((d_a * m) ** 2 for m in sizes) == d_a**2 * math.comb(d_b**2 + k - 1, k)
+        assert sum(irr.mult * m for irr, m in zip(irreps, sizes)) == d_b**k
+        sym = symmetrize(random_hermitian(d_a * d_b**k, 17), d_a, d_b, k)
+        blocks = _compress(sym, d_a, d_b, k)
+        assert np.max(np.abs(_lift(blocks, d_a, d_b, k) - sym)) < 1e-11, (d_a, d_b, k)
+        block_eigs = np.concatenate(
+            [np.repeat(np.linalg.eigvalsh(x), irr.mult) for x, irr in zip(blocks, irreps)]
+        )
+        dense_eigs = np.linalg.eigvalsh(sym)
+        assert np.max(np.abs(np.sort(block_eigs) - dense_eigs)) < 1e-10, (d_a, d_b, k)
+        assert abs(_block_norm(blocks, irreps) - np.linalg.norm(sym)) < 1e-10, (d_a, d_b, k)
 
 
 def test_affine_project_from_zero():
@@ -168,6 +191,10 @@ def test_scale_guard():
         ExtensionProblem(erasure_family(0.5), 8)  # 2 * 3^8 blows the guard
     with pytest.raises(ValueError):
         ExtensionProblem(isotropic(0.5, 2), 1)
+    # inside the dimension guard, but the Schur-Weyl maps of d_B = 18 would
+    # hold more entries than a dense operator at the guard
+    with pytest.raises(ValueError):
+        check_k_extendible(ExtensionProblem(DensityMatrix(np.eye(36) / 36, (2, 18)), 2))
 
 
 def test_face_of_erased_family_holds_its_certificates():
@@ -217,9 +244,9 @@ def test_face_reduced_solver_on_rank_deficient_inputs():
     assert inside.iterations <= 300
     outside = check_k_extendible(ExtensionProblem(erasure_family(0.62), 3))
     assert outside.status is VerdictStatus.INFEASIBLE_SIGNAL
-    # a pure entangled state has the face {0}; the stall rule still ends the run
+    # a pure entangled state has the face {0}, which proves infeasibility before the loop
     pure = check_k_extendible(ExtensionProblem(isotropic(1.0, 2), 2))
-    assert (pure.status, pure.face_dim) == (VerdictStatus.INFEASIBLE_SIGNAL, 0)
+    assert (pure.status, pure.face_dim, pure.iterations) == (VerdictStatus.INFEASIBLE_SIGNAL, 0, 0)
 
 
 def test_threshold_bisect_isotropic_k2():

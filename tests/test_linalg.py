@@ -120,7 +120,7 @@ def test_psd_project_is_frobenius_nearest():
 
 
 def test_psd_project_empty_matrix():
-    # the PSD step on an empty face (a pure entangled state) projects a 0x0 matrix
+    # the PSD step on a Schur-Weyl block the face misses projects a 0x0 matrix
     got = linalg.psd_project(np.zeros((0, 0), dtype=complex))
     assert got.shape == (0, 0)
 
