@@ -270,7 +270,7 @@ def _cmd_check(args, out: TextIO) -> int:
     verdict = check_k_extendible(problem)
     payload = {
         "status": verdict.status.value,
-        "residual": verdict.residual,
+        "residual": float(f"{verdict.residual:.4g}"),
         "iterations": verdict.iterations,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.output, out)

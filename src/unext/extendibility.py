@@ -19,13 +19,15 @@ permutations of the B factors, so it is a direct sum over the S_k irreps
 lambda (at most d_B rows) of X_lambda (x) I_{s_lambda}, where X_lambda acts on
 A (x) one copy of the GL(d_B) irrep (dimension d_A m_lambda) and s_lambda is
 the S_k irrep dimension. The solver keeps only the blocks X_lambda, with the
-Frobenius norm weighted by s_lambda: the PSD step is one eigendecomposition
-per block, the affine step one precomputed linear map, and a full-space
-operator is formed only for the certificate. The block bases are built once
-per (d_B, k) and cached. For a rank-deficient state the PSD step runs on the
-face every extension lives on (facial reduction), compressed into the same
-blocks, which spares such states the thousands of iterations the degenerate
-directions cost.
+Frobenius norm weighted by s_lambda, as one zero-padded stack: the PSD step
+is one batched eigendecomposition, the affine step a gather, two products
+with precomputed maps and a scatter, and a full-space operator is formed
+only for the certificate. Padding is exact: the PSD projection of X (+) 0 is
+psd(X) (+) 0, and the affine maps never read or write it. The maps are built
+once per (d_A, d_B, k) and cached. For a rank-deficient state the PSD step
+runs on the face every extension lives on (facial reduction), compressed
+into the same blocks, which spares such states the thousands of iterations
+the degenerate directions cost.
 
 Full-space operators enter and leave the blocks through the group average,
 which works in index space: permutation-invariant operators on A (x) B^(x)k
@@ -89,8 +91,6 @@ class ExtensionProblem:
             )
         if self.tol <= 0.0 or self.max_iter < 1:
             raise ValueError("tol must be positive and max_iter >= 1")
-
-
 
 
 def _b_gather(d_b: int, k: int, perm: tuple[int, ...]) -> np.ndarray:
@@ -165,16 +165,6 @@ def _index_maps(d_a: int, d_b: int, k: int) -> _IndexMaps:
     return _IndexMaps(labels=labels, sizes=np.bincount(labels))
 
 
-@dataclass(frozen=True)
-class _Irrep:
-    """One S_k irrep lambda of B^(x)k in Schur-Weyl coordinates."""
-
-    mult: int  # s_lambda, the S_k irrep dimension: copies of the GL(d_b) irrep
-    basis: np.ndarray  # d_b^k x m_lambda, real orthonormal basis of one copy
-    red: np.ndarray  # m^2 x d_b^2: a block's share of the reduction onto B_1
-    corr: np.ndarray  # d_b^2 x m^2: minimum-norm block change for a reduction change
-
-
 def _shapes(k: int, rows: int, cap: Optional[int] = None) -> list[tuple[int, ...]]:
     """Partitions of k into at most rows parts, each part at most cap, largest first."""
     if k == 0:
@@ -195,8 +185,11 @@ def _irrep_dim(shape: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _schur_weyl(d_b: int, k: int) -> tuple[_Irrep, ...]:
+def _schur_weyl(d_b: int, k: int) -> tuple[list[int], list[np.ndarray], list[np.ndarray]]:
     """Schur-Weyl coordinates of the permutation-invariant operators on B^(x)k.
+
+    Per S_k irrep lambda: its dimension s (the copies of the GL(d_b) irrep),
+    a real orthonormal d_b^k x m basis V of one copy, and r (below).
 
     For each shape lambda the kept copy of the GL(d_b) irrep is the one whose
     S_k part is the Gelfand-Tsetlin vector of the row-reading tableau T: the
@@ -212,9 +205,7 @@ def _schur_weyl(d_b: int, k: int) -> tuple[_Irrep, ...]:
     A block X on A (x) copy lifts to symmetrize(s (I (x) V) X (I (x) V)^T),
     which is X (x) I_s. Its reduction onto (A, B_1) contracts X with
     r = (s / k) sum_i Tr_{all but B_i} (V_u V_u'^T), built by contracting the
-    basis with itself. With G = sum_lambda r r^T / s, corr = G^-1 r / s is the
-    map K = W^-1 R^T (R W^-1 R^T)^-1 for the weights W = s, so z + K(rho - Rz)
-    is the projection onto the reduction constraint in the s-weighted norm.
+    basis with itself.
     """
     # red and corr hold d_b^2 sum_lambda m^2 = d_b^2 C(d_b^2 + k - 1, k) entries
     if d_b * d_b * math.comb(d_b * d_b + k - 1, k) > MAX_EXTENSION_DIM**2:
@@ -264,12 +255,7 @@ def _schur_weyl(d_b: int, k: int) -> tuple[_Irrep, ...]:
             ti = np.moveaxis(t, i, 0).reshape(d_b, -1, m)
             r += ti.transpose(0, 2, 1)[:, None] @ ti[None]
         reds.append(r.reshape(d_b * d_b, m * m) * (s / k))
-    gram = sum(r @ r.T / s for s, r in zip(mults, reds))
-    # complex copies spare each matmul with a complex block a dtype cast
-    return tuple(
-        _Irrep(mult=s, basis=basis, red=r.T.astype(complex), corr=np.linalg.solve(gram, r) / s + 0j)
-        for s, basis, r in zip(mults, bases, reds)
-    )
+    return mults, bases, reds
 
 
 def _rows(x: np.ndarray, d_a: int) -> np.ndarray:
@@ -284,37 +270,89 @@ def _from_rows(rows: np.ndarray, d_a: int) -> np.ndarray:
     return rows.reshape(d_a, d_a, m, m).transpose(0, 2, 1, 3).reshape(d_a * m, d_a * m)
 
 
-def _compress(omega: np.ndarray, d_a: int, d_b: int, k: int) -> list[np.ndarray]:
-    """Blocks (I (x) V)^T omega (I (x) V) of a permutation-invariant omega, one per irrep."""
+@dataclass(frozen=True)
+class _Stack:
+    """The Schur-Weyl blocks of A (x) B^(x)k as one zero-padded (L, M, M) stack.
+
+    Block lambda sits in the top-left d_a m_lambda corner of slice lambda;
+    M = d_a max m_lambda. Entries are addressed in _rows order, irrep after
+    irrep: column j of a (d_a^2, sum m^2) array is (lambda, u, u').
+    """
+
+    shape: tuple[int, int, int]
+    index: np.ndarray  # d_a^2 x sum m^2: flat stack index of every block entry
+    grid: np.ndarray  # sum m^2: flat position of (lambda, u, u') in the (sum m)^2 grid
+    weight: np.ndarray  # sum m^2: s_lambda of each column
+    basis: np.ndarray  # d_b^k x sum m: the irreps' bases side by side
+    red: np.ndarray  # sum m^2 x d_b^2: R^T, R the reduction onto (A, B_1)
+    corr: np.ndarray  # d_b^2 x sum m^2: K^T, the minimum-norm block change for a reduction change
+    metric: np.ndarray  # d_b^2 x d_b^2: K^T W K, so ||K r||^2 = Re<r, r metric>
+
+
+@lru_cache(maxsize=None)
+def _stack(d_a: int, d_b: int, k: int) -> _Stack:
+    """Stacked Schur-Weyl maps of (d_a, d_b, k); see _Stack.
+
+    With the weights W = s of each block entry and G = R W^-1 R^T, the map
+    K = W^-1 R^T G^-1 makes z + K(rho - R z) the projection onto the
+    reduction constraint in the s-weighted norm, and K^T W K = G^-1. The
+    rows of _rows form are row vectors, so the stack holds R^T and K^T.
+    """
+    mults, bases, reds = _schur_weyl(d_b, k)
+    dims = [b.shape[1] for b in bases]
+    big = d_a * max(dims)
+    offsets = np.cumsum([0] + dims)
+    index, grid = [], []
+    for lam, (m, o) in enumerate(zip(dims, offsets)):
+        a, a2, u, u2 = np.indices((d_a, d_a, m, m)).reshape(4, d_a * d_a, m * m)
+        index.append(lam * big * big + (a * m + u) * big + a2 * m + u2)
+        grid.append((o + u[0]) * offsets[-1] + o + u2[0])
+    weight = np.repeat(np.array(mults, dtype=float), [m * m for m in dims])
+    red = np.hstack(reds)
+    corr = np.linalg.solve((red / weight) @ red.T, red) / weight
+    # complex copies spare each matmul with a complex operand a dtype cast
+    return _Stack(
+        shape=(len(dims), big, big),
+        index=np.hstack(index),
+        grid=np.concatenate(grid),
+        weight=weight,
+        basis=np.hstack(bases),
+        red=red.T + 0j,
+        corr=corr + 0j,
+        metric=(corr * weight) @ corr.T + 0j,
+    )
+
+
+def _compress(omega: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
+    """Stack of the blocks (I (x) V)^T omega (I (x) V) of a permutation-invariant omega."""
+    st = _stack(d_a, d_b, k)
     n = d_b**k
     w4 = _rows(omega, d_a).reshape(d_a, d_a, n, n)
-    return [
-        _from_rows((irr.basis.T @ w4 @ irr.basis).reshape(d_a * d_a, -1), d_a)
-        for irr in _schur_weyl(d_b, k)
-    ]
+    out = np.zeros(st.shape, dtype=complex)
+    out.reshape(-1)[st.index] = (st.basis.T @ w4 @ st.basis).reshape(d_a * d_a, -1)[:, st.grid]
+    return out
 
 
-def _lift(blocks: list[np.ndarray], d_a: int, d_b: int, k: int) -> np.ndarray:
-    """Full-space operator symmetrize(sum_lambda s (I (x) V) X (I (x) V)^T) of the blocks."""
-    full = 0.0
-    for x, irr in zip(blocks, _schur_weyl(d_b, k)):
-        m = irr.basis.shape[1]
-        x4 = _rows(x, d_a).reshape(d_a, d_a, m, m)
-        full = full + irr.mult * (irr.basis @ x4 @ irr.basis.T)
+def _lift(x: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
+    """Full-space operator symmetrize(sum_lambda s (I (x) V) X (I (x) V)^T) of a stack."""
+    st = _stack(d_a, d_b, k)
+    m = st.basis.shape[1]
+    grid = np.zeros((d_a * d_a, m * m), dtype=complex)
+    grid[:, st.grid] = x.reshape(-1)[st.index] * st.weight
+    full = st.basis @ grid.reshape(d_a, d_a, m, m) @ st.basis.T
     return symmetrize(_from_rows(full.reshape(d_a * d_a, -1), d_a), d_a, d_b, k)
 
 
-def _block_norm(blocks: list[np.ndarray], irreps: tuple[_Irrep, ...]) -> float:
-    """Frobenius norm of the full-space operator: sqrt(sum_lambda s ||X_lambda||^2)."""
-    return math.sqrt(sum(irr.mult * float(np.vdot(x, x).real) for x, irr in zip(blocks, irreps)))
+def _affine(z: np.ndarray, target: np.ndarray, st: _Stack) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted-norm projection z + K(rho - R z) onto the reduction constraint, and rho - R z.
 
-
-def _affine(
-    blocks: list[np.ndarray], target: np.ndarray, irreps: tuple[_Irrep, ...], d_a: int
-) -> list[np.ndarray]:
-    """Weighted-norm projection z + K(rho - R z) onto the reduction constraint; target is _rows(rho)."""
-    resid = target - sum(_rows(x, d_a) @ irr.red for x, irr in zip(blocks, irreps))
-    return [x + _from_rows(resid @ irr.corr, d_a) for x, irr in zip(blocks, irreps)]
+    target is _rows(rho). The stack's padding is neither read nor written.
+    """
+    rows = z.reshape(-1)[st.index]
+    resid = target - rows @ st.red
+    x = z.copy()
+    x.reshape(-1)[st.index] = rows + resid @ st.corr
+    return x, resid
 
 
 def _face(rho: DensityMatrix, k: int, cutoff: float) -> Optional[np.ndarray]:
@@ -387,11 +425,11 @@ def affine_project(omega: np.ndarray, rho: DensityMatrix, k: int) -> np.ndarray:
     return _lift(_projected_blocks(omega, rho, k), d_a, d_b, k)
 
 
-def _projected_blocks(omega: np.ndarray, rho: DensityMatrix, k: int) -> list[np.ndarray]:
-    """Schur-Weyl blocks of affine_project(omega, rho, k)."""
+def _projected_blocks(omega: np.ndarray, rho: DensityMatrix, k: int) -> np.ndarray:
+    """Stack of the blocks of affine_project(omega, rho, k)."""
     d_a, d_b = rho.dims
     blocks = _compress(symmetrize(hermitize(omega), d_a, d_b, k), d_a, d_b, k)
-    return _affine(blocks, _rows(rho.matrix, d_a), _schur_weyl(d_b, k), d_a)
+    return _affine(blocks, _rows(rho.matrix, d_a), _stack(d_a, d_b, k))[0]
 
 
 def check_k_extendible(
@@ -406,19 +444,21 @@ def check_k_extendible(
     stabilizes above 10*tol across 200 consecutive iterations. Inconclusive
     when the iteration budget runs out first.
 
-    The iterates are the Schur-Weyl blocks of the full-space ones (see the
-    module docstring): the start point (rho (x) rho_B^(x)(k-1), or start)
-    enters as the blocks of its symmetrization, the gap is the
-    s_lambda-weighted norm of the block differences, which equals the
-    full-space Frobenius norm, and the certificate leaves as the lift of the
-    affine blocks. Only the PSD step carries a Dykstra correction: the
-    affine step's increments are normal to the affine set, and its
-    projection ignores normal components.
+    The iterates are the zero-padded stack of the Schur-Weyl blocks of the
+    full-space ones (see the module docstring): the start point
+    (rho (x) rho_B^(x)(k-1), or start) enters as the blocks of its
+    symmetrization, and the certificate leaves as the lift of the affine
+    blocks. The gap is the s_lambda-weighted norm of the block differences,
+    which equals the full-space Frobenius norm; since the affine step moves
+    y to x = y + K r with the reduction residual r, it is read off r as
+    sqrt(Re<r, r G>), G = K^T W K. Only the PSD step carries a Dykstra
+    correction: the affine step's increments are normal to the affine set,
+    and its projection ignores normal components.
 
     For a rank-deficient rho (eigenvalues <= 1e-3*tol count as kernel) the
     PSD step of block X is F psd_project(F^dagger X F) F^dagger, with F an
-    orthonormal basis of the face's block: the exact projection onto the PSD
-    matrices on a face holding every extension. face_dim is the full-space
+    orthonormal basis of the face's block padded with zero columns: the exact
+    projection onto the PSD matrices on a face holding every extension. face_dim is the full-space
     face dimension. An empty face (a pure entangled rho) holds no unit-trace
     operator, so the query is infeasible by proof, not by heuristic, and
     returns before the loop with 0 iterations and the norm of the affine
@@ -427,7 +467,7 @@ def check_k_extendible(
     rho = prob.rho
     d_a, d_b = rho.dims
     k = prob.k
-    irreps = _schur_weyl(d_b, k)
+    st = _stack(d_a, d_b, k)
     target = _rows(rho.matrix, d_a)
     if start is None:
         marginal = partial_trace(rho.matrix, rho.dims, keep=[1])
@@ -438,27 +478,26 @@ def check_k_extendible(
     face = _face(rho, k, 1e-3 * prob.tol)
     face_dim = d_a * d_b**k if face is None else face.shape[1]
     if face_dim == 0:
-        return ExtendibilityVerdict(
-            VerdictStatus.INFEASIBLE_SIGNAL, None, _block_norm(x, irreps), 0, 0
-        )
+        residual = float(np.linalg.norm(_lift(x, d_a, d_b, k)))
+        return ExtendibilityVerdict(VerdictStatus.INFEASIBLE_SIGNAL, None, residual, 0, 0)
     # the face projector is permutation-invariant: its blocks are projectors
-    # too, and F_lambda spans the eigenvalue-1 eigenvectors of each
-    faces = None
+    # too, and F_lambda spans the eigenvalue-1 eigenvectors of each, padded
+    # with zero columns to the widest
     if face is not None:
-        blocks = _compress(face @ face.conj().T, d_a, d_b, k)
-        faces = [v[:, w > 0.5] for w, v in map(np.linalg.eigh, blocks)]
-    p = [np.zeros_like(b) for b in x]
+        w, v = np.linalg.eigh(_compress(face @ face.conj().T, d_a, d_b, k))
+        width = int(np.max(np.sum(w > 0.5, axis=-1)))
+        f = v[..., -width:] * (w[:, None, -width:] > 0.5)
+        fh = f.conj().transpose(0, 2, 1)
+    p = np.zeros_like(x)
     gap = float("inf")
     window: deque[float] = deque(maxlen=200)
     for it in range(1, prob.max_iter + 1):
-        z = [xl + pl for xl, pl in zip(x, p)]
-        if faces is None:
-            y = [linalg.psd_project(zl) for zl in z]
-        else:
-            y = [f @ linalg.psd_project(f.conj().T @ zl @ f) @ f.conj().T for f, zl in zip(faces, z)]
-        p = [zl - yl for zl, yl in zip(z, y)]
-        x = _affine(y, target, irreps, d_a)
-        gap = _block_norm([yl - xl for yl, xl in zip(y, x)], irreps)
+        z = x + p
+        y = linalg.psd_project(z) if face is None else f @ linalg.psd_project(fh @ z @ f) @ fh
+        p = z - y
+        x, resid = _affine(y, target, st)
+        # y - x = -K resid exactly, so the gap is read off the small residual
+        gap = math.sqrt(float(np.vdot(resid, resid @ st.metric).real))
         if gap <= prob.tol:
             return ExtendibilityVerdict(
                 VerdictStatus.FEASIBLE, _lift(x, d_a, d_b, k), gap, it, face_dim
@@ -466,8 +505,8 @@ def check_k_extendible(
         window.append(gap)
         if (
             len(window) == window.maxlen
-            and min(window) > 10.0 * prob.tol
             and window[0] - gap <= 1e-4 * gap
+            and min(window) > 10.0 * prob.tol
         ):
             return ExtendibilityVerdict(VerdictStatus.INFEASIBLE_SIGNAL, None, gap, it, face_dim)
     return ExtendibilityVerdict(VerdictStatus.INCONCLUSIVE, None, gap, prob.max_iter, face_dim)

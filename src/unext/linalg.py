@@ -91,17 +91,18 @@ def permutation_operator(d: int, k: int, perm: Sequence[int]) -> np.ndarray:
 
 
 def psd_project(h: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix to a Hermitian h.
+    """Frobenius-nearest positive semidefinite matrix to each Hermitian h of a (..., n, n) stack.
 
     Negative eigenvalues are clamped at zero. Only the lower triangle of h is
     read (the LAPACK convention), so h must be Hermitian to rounding; the
     nearest PSD matrix to any square matrix is that of its Hermitian part,
-    which callers form with hermitize where needed.
+    which callers form with hermitize where needed. A matrix padded with
+    zero rows and columns keeps them: LAPACK splits the padding off exactly.
     """
     w, v = np.linalg.eigh(h)
-    if w.size == 0 or w[0] >= 0.0:
+    if w.size == 0 or w[..., 0].min() >= 0.0:
         return h
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
+    return (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 # --- JSON serialization (consumed by the CLI `check` subcommand) ---

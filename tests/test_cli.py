@@ -37,7 +37,9 @@ def test_np_engines_agree(capsys):
 def test_check_named_state_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "check", "erasure:0.5", "--k", "2")
     assert code == 0
-    assert json.loads(out)["status"] == "feasible"
+    # residual carries 4 significant digits, so its bytes do not follow the
+    # last digits of the solver's arithmetic
+    assert json.loads(out) == {"status": "feasible", "residual": 8.343e-08, "iterations": 56}
 
     code, out, _ = run_cli(capsys, "check", "isotropic:1.0:2", "--k", "2")
     assert code == 2

@@ -16,13 +16,15 @@ from unext.extendibility import (
     symmetry_defect,
     threshold_bisect,
     twirl_uu,
-    _block_norm,
+    _affine,
     _compress,
     _conj_indices,
     _face,
     _index_maps,
     _lift,
+    _rows,
     _schur_weyl,
+    _stack,
 )
 from unext.states import (
     DensityMatrix,
@@ -32,6 +34,7 @@ from unext.states import (
     erasure_family,
     isotropic,
     max_entangled,
+    parse_state_spec,
 )
 
 
@@ -91,20 +94,44 @@ def test_symmetrize_matches_full_average():
 def test_schur_weyl_blocks_match_dense():
     shapes = [(2, 2, k) for k in range(2, 7)] + [(2, 3, 2), (2, 3, 3), (3, 3, 2)]
     for d_a, d_b, k in shapes:
-        irreps = _schur_weyl(d_b, k)
-        sizes = [irr.basis.shape[1] for irr in irreps]
+        mults, bases, _ = _schur_weyl(d_b, k)
+        sizes = [d_a * b.shape[1] for b in bases]
         # the blocks hold as many parameters as there are orbits, and fill B^(x)k
-        assert sum((d_a * m) ** 2 for m in sizes) == d_a**2 * math.comb(d_b**2 + k - 1, k)
-        assert sum(irr.mult * m for irr, m in zip(irreps, sizes)) == d_b**k
+        assert sum(n**2 for n in sizes) == d_a**2 * math.comb(d_b**2 + k - 1, k)
+        assert sum(s * n for s, n in zip(mults, sizes)) == d_a * d_b**k
+        # the packed gather hits every block entry exactly once and never the padding
+        st = _stack(d_a, d_b, k)
+        inside = np.zeros(st.shape, dtype=bool)
+        for x, n in zip(inside, sizes):
+            x[:n, :n] = True
+        hits = np.bincount(st.index.reshape(-1), minlength=inside.size)
+        assert np.array_equal(hits, inside.reshape(-1)), (d_a, d_b, k)
         sym = symmetrize(random_hermitian(d_a * d_b**k, 17), d_a, d_b, k)
         blocks = _compress(sym, d_a, d_b, k)
+        assert not np.any(blocks[~inside]), (d_a, d_b, k)
         assert np.max(np.abs(_lift(blocks, d_a, d_b, k) - sym)) < 1e-11, (d_a, d_b, k)
         block_eigs = np.concatenate(
-            [np.repeat(np.linalg.eigvalsh(x), irr.mult) for x, irr in zip(blocks, irreps)]
+            [
+                np.repeat(np.linalg.eigvalsh(x[:n, :n]), s)
+                for x, n, s in zip(blocks, sizes, mults)
+            ]
         )
         dense_eigs = np.linalg.eigvalsh(sym)
         assert np.max(np.abs(np.sort(block_eigs) - dense_eigs)) < 1e-10, (d_a, d_b, k)
-        assert abs(_block_norm(blocks, irreps) - np.linalg.norm(sym)) < 1e-10, (d_a, d_b, k)
+        # the affine step moves a stack by -K resid, whose s-weighted norm,
+        # the full-space Frobenius norm, is read off resid through the metric
+        target = _rows(random_hermitian(d_a * d_b, 19), d_a)
+        x, resid = _affine(blocks, target, st)
+        gap = np.sqrt(np.vdot(resid, resid @ st.metric).real)
+        dense_gap = np.linalg.norm(_lift(blocks, d_a, d_b, k) - _lift(x, d_a, d_b, k))
+        assert abs(gap - dense_gap) < 1e-10 * max(1.0, dense_gap), (d_a, d_b, k)
+        # the PSD step on the padded stack keeps the padding zero and is the
+        # projection of each block
+        proj = linalg.psd_project(blocks)
+        assert np.max(np.abs(proj[~inside])) <= 1e-15, (d_a, d_b, k)
+        for x, px, n in zip(blocks, proj, sizes):
+            each = linalg.psd_project(x[:n, :n])
+            assert np.max(np.abs(px[:n, :n] - each)) <= 1e-12, (d_a, d_b, k)
 
 
 def test_affine_project_from_zero():
@@ -155,6 +182,26 @@ def test_feasible_cases_and_certificates():
         assert defects["symmetry"] <= tol
         assert defects["reduction"] <= tol
         assert defects["trace"] <= tol
+
+
+def test_iteration_counts_do_not_rise():
+    # the benchmark's extend classes as specs, at t*(k) -/+ 0.04 (erased
+    # family: 1 - 1/k + 0.04), with the iteration counts of the per-block
+    # loop as ceilings: a change to the solver may only lower them
+    cases = [
+        ("isotropic:0.71:2", 2, VerdictStatus.FEASIBLE, 74),
+        ("isotropic:0.79:2", 2, VerdictStatus.INFEASIBLE_SIGNAL, 209),
+        ("isotropic:0.626667:2", 3, VerdictStatus.FEASIBLE, 1007),
+        ("isotropic:0.706667:2", 3, VerdictStatus.INFEASIBLE_SIGNAL, 286),
+        ("isotropic:0.585:2", 4, VerdictStatus.FEASIBLE, 1382),
+        ("isotropic:0.626667:3", 2, VerdictStatus.FEASIBLE, 445),
+        ("isotropic:0.706667:3", 2, VerdictStatus.INFEASIBLE_SIGNAL, 254),
+        ("erasure:0.54", 2, VerdictStatus.FEASIBLE, 55),
+    ]
+    for spec, k, status, ceiling in cases:
+        verdict = check_k_extendible(ExtensionProblem(parse_state_spec(spec), k))
+        assert verdict.status is status, (spec, k)
+        assert verdict.iterations <= ceiling, (spec, k, verdict.iterations)
 
 
 def test_product_state_always_feasible():

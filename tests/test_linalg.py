@@ -120,9 +120,17 @@ def test_psd_project_is_frobenius_nearest():
 
 
 def test_psd_project_empty_matrix():
-    # the PSD step on a Schur-Weyl block the face misses projects a 0x0 matrix
     got = linalg.psd_project(np.zeros((0, 0), dtype=complex))
     assert got.shape == (0, 0)
+    # a Schur-Weyl block the face misses has a basis of zero columns in the
+    # padded face stack, and its PSD step yields 0
+    f = np.zeros((2, 4, 3), dtype=complex)
+    f[0, :3, :3] = np.eye(3)
+    z = np.stack([random_hermitian(4, 6), random_hermitian(4, 7)])
+    fh = f.conj().transpose(0, 2, 1)
+    y = f @ linalg.psd_project(fh @ z @ f) @ fh
+    assert not np.any(y[1])
+    assert np.max(np.abs(y[0, :3, :3] - linalg.psd_project(z[0, :3, :3]))) <= 1e-12
 
 
 def test_matrix_json_round_trip(tmp_path):
