@@ -238,8 +238,10 @@ def antidegradable_bound(n: int, eps: float) -> BoundResult:
     return BoundResult(n, rate, 2, None, METHOD_ANTIDEGRADABLE, budget, "constructive")
 
 
-def _channel_bound(channel: ChannelSpec, n: int, eps: float, k: float) -> BoundResult:
-    query = BoundQuery(channel, n, eps, k)
+def _channel_bound(
+    channel: ChannelSpec, n: int, eps: float, k: float, sigma_param: Optional[float] = None
+) -> BoundResult:
+    query = BoundQuery(channel, n, eps, k, sigma_param=sigma_param)
     if channel.kind == "depolarizing":
         return depolarizing_bound(query)
     return erasure_bound(query)

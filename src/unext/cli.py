@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
@@ -58,7 +58,7 @@ def _fmt(value: Optional[float]) -> str:
     if value == INF:
         return "inf"
     if value == int(value) and abs(value) < 1e15:
-        return str(int(value)) if float(int(value)) == value else repr(float(value))
+        return str(int(value))
     return repr(float(value))
 
 
@@ -210,23 +210,12 @@ def _cmd_bound(args, out: TextIO) -> int:
         k = _parse_k(args.k)
 
         def one(n: int) -> BoundResult:
-            query = BoundQuery(channel, n, args.eps, k, sigma_param=args.sigma_param)
-            if channel.kind == "depolarizing":
-                return bounds_mod.depolarizing_bound(query)
-            return bounds_mod.erasure_bound(query)
+            return bounds_mod._channel_bound(channel, n, args.eps, k, args.sigma_param)
 
     rows = [one(n) for n in ns]
     if not args.per_use:
         rows = [
-            BoundResult(
-                r.n,
-                r.rate_bound * r.n if r.rate_bound != INF else INF,
-                r.k_used,
-                r.sigma_param_used,
-                r.method,
-                r.divergence,
-                r.sigma_provenance,
-            )
+            replace(r, rate_bound=r.rate_bound * r.n if r.rate_bound != INF else INF)
             for r in rows
         ]
     text = _bound_rows_csv(rows) if args.format == "csv" else _bound_rows_json(rows)

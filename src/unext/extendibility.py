@@ -25,9 +25,9 @@ with precomputed maps and a scatter, and a full-space operator is formed
 only for the certificate. Padding is exact: the PSD projection of X (+) 0 is
 psd(X) (+) 0, and the affine maps never read or write it. The maps are built
 once per (d_A, d_B, k) and cached. For a rank-deficient state the PSD step
-runs on the face every extension lives on (facial reduction), compressed
-into the same blocks, which spares such states the thousands of iterations
-the degenerate directions cost.
+runs on the face every extension lives on (facial reduction), found
+directly in the same blocks, which spares such states the thousands of
+iterations the degenerate directions cost.
 
 Full-space operators enter and leave the blocks through the group average,
 which works in index space: permutation-invariant operators on A (x) B^(x)k
@@ -355,29 +355,30 @@ def _affine(z: np.ndarray, target: np.ndarray, st: _Stack) -> tuple[np.ndarray, 
     return x, resid
 
 
-def _face(rho: DensityMatrix, k: int, cutoff: float) -> Optional[np.ndarray]:
-    """Orthonormal basis of the face every k-extension lives on; None when rho has full rank.
+def _face(rho: DensityMatrix, k: int, cutoff: float, st: _Stack) -> Optional[np.ndarray]:
+    """Blocks of the face every k-extension lives on; None when rho has full rank.
 
     An extension w reduces to rho on every pair (A, B_i), so w (v (x) I) = 0
     for each v in ker rho placed on (A, B_i): the range of w lies in
-    S = intersection over i of (supp rho)_{A B_i} (x) H_rest. Eigenvalues of
-    rho at or below cutoff count as kernel. S starts as supp rho (x) I on
-    (A, B_1) and is cut down by its images under the transpositions
-    (B_1 B_i), each a row gather; the intersection keeps the right singular
-    vectors of V_i^dagger V with singular value 1.
+    S = intersection over i of the ranges of Q_i = (supp rho)_{A B_i} (x) I.
+    Eigenvalues of rho at or below cutoff count as kernel. S is the
+    eigenvalue-1 eigenspace of the mean of the Q_i, which is the group
+    average of Q_1 and so has the blocks W^-1 R^T q, q = _rows(supp rho):
+    R^T q holds s_lambda times the blocks of the average of q (x) I. Returns
+    the padded stack F of each block's face basis, columns outside the face
+    zeroed.
     """
-    d_a, d_b = rho.dims
+    d_a, _ = rho.dims
     w, u = np.linalg.eigh(rho.matrix)
     if w[0] > cutoff:
         return None
-    base = np.kron(u[:, w > cutoff], np.eye(d_b ** (k - 1)))
-    face = base
-    for i in range(1, k):
-        perm = list(range(k))
-        perm[0], perm[i] = i, 0
-        _, s, vh = np.linalg.svd(base[_conj_indices(d_a, d_b, k, tuple(perm))].conj().T @ face)
-        face = face @ vh[: int(np.sum(s >= 1.0 - 1e-9))].conj().T
-    return face
+    support = u[:, w > cutoff]
+    mean = np.zeros(st.shape, dtype=complex)
+    mean.reshape(-1)[st.index] = _rows(support @ support.conj().T, d_a) @ st.red.T / st.weight
+    e, v = np.linalg.eigh(mean)
+    inside = e > 1.0 - 1e-9
+    top = slice(st.shape[1] - int(np.max(np.sum(inside, axis=-1))), None)
+    return v[..., top] * inside[:, None, top]
 
 
 def symmetrize(omega: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
@@ -456,13 +457,14 @@ def check_k_extendible(
     and its projection ignores normal components.
 
     For a rank-deficient rho (eigenvalues <= 1e-3*tol count as kernel) the
-    PSD step of block X is F psd_project(F^dagger X F) F^dagger, with F an
-    orthonormal basis of the face's block padded with zero columns: the exact
-    projection onto the PSD matrices on a face holding every extension. face_dim is the full-space
-    face dimension. An empty face (a pure entangled rho) holds no unit-trace
-    operator, so the query is infeasible by proof, not by heuristic, and
-    returns before the loop with 0 iterations and the norm of the affine
-    start point as residual.
+    PSD step of block X is F psd_project(F^dagger X F) F^dagger, with F the
+    face basis _face finds in that block, padded with zero columns: the exact
+    projection onto the PSD matrices on a face holding every extension.
+    face_dim is the full-space face dimension, sum_lambda s_lambda times the
+    width of block lambda's face. An empty face (a pure entangled rho) holds
+    no unit-trace operator, so the query is infeasible by proof, not by
+    heuristic, and returns before the loop with 0 iterations and the
+    s_lambda-weighted norm of the affine start blocks as residual.
     """
     rho = prob.rho
     d_a, d_b = rho.dims
@@ -475,25 +477,23 @@ def check_k_extendible(
         for _ in range(k - 1):
             start = kron(start, marginal)
     x = _projected_blocks(start, rho, k)
-    face = _face(rho, k, 1e-3 * prob.tol)
-    face_dim = d_a * d_b**k if face is None else face.shape[1]
-    if face_dim == 0:
-        residual = float(np.linalg.norm(_lift(x, d_a, d_b, k)))
-        return ExtendibilityVerdict(VerdictStatus.INFEASIBLE_SIGNAL, None, residual, 0, 0)
-    # the face projector is permutation-invariant: its blocks are projectors
-    # too, and F_lambda spans the eigenvalue-1 eigenvectors of each, padded
-    # with zero columns to the widest
-    if face is not None:
-        w, v = np.linalg.eigh(_compress(face @ face.conj().T, d_a, d_b, k))
-        width = int(np.max(np.sum(w > 0.5, axis=-1)))
-        f = v[..., -width:] * (w[:, None, -width:] > 0.5)
+    f = _face(rho, k, 1e-3 * prob.tol, st)
+    if f is None:
+        face_dim = d_a * d_b**k
+    else:
+        # block lambda holds s_lambda copies of its face columns
+        face_dim = int(np.dot(_schur_weyl(d_b, k)[0], np.sum(np.any(f, axis=1), axis=-1)))
         fh = f.conj().transpose(0, 2, 1)
+    if face_dim == 0:
+        rows = x.reshape(-1)[st.index]
+        residual = math.sqrt(float(np.sum(st.weight * np.abs(rows) ** 2)))
+        return ExtendibilityVerdict(VerdictStatus.INFEASIBLE_SIGNAL, None, residual, 0, 0)
     p = np.zeros_like(x)
     gap = float("inf")
     window: deque[float] = deque(maxlen=200)
     for it in range(1, prob.max_iter + 1):
         z = x + p
-        y = linalg.psd_project(z) if face is None else f @ linalg.psd_project(fh @ z @ f) @ fh
+        y = linalg.psd_project(z) if f is None else f @ linalg.psd_project(fh @ z @ f) @ fh
         p = z - y
         x, resid = _affine(y, target, st)
         # y - x = -K resid exactly, so the gap is read off the small residual

@@ -34,6 +34,10 @@ from .states import State, same_power
 NEG_INF = float("-inf")
 # sigma eigenvalues closer than this share one eigenspace in _co_diagonalize
 _GROUP_TOL = 1e-9
+# joint eigenvalues at or below this count as outside a state's support
+_SUPPORT_TOL = 1e-11
+# commuting_dh lumps outcomes whose log2 likelihood ratios agree within this
+_LUMP_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -400,31 +404,24 @@ def _joint_spectrum(rho: State, sigma: State) -> tuple[np.ndarray, np.ndarray, n
     return r_types, s_types, mult
 
 
-def commuting_dh(
-    rho: State,
-    sigma: State,
-    eps: float,
-    *,
-    support_tol: float = 1e-11,
-    lump_tol: float = 1e-7,
-) -> float:
+def commuting_dh(rho: State, sigma: State, eps: float) -> float:
     """Hypothesis-testing divergence (bits) for a commuting pair of states.
 
     Co-diagonalizes the pair, treats the joint spectrum as a classical outcome
-    list, lumps outcomes whose log-likelihood ratios agree within lump_tol,
+    list, lumps outcomes whose log-likelihood ratios agree within _LUMP_TOL,
     and runs the same sort-and-fill optimum as the Bernoulli engine.
     Non-commuting inputs are rejected.
     """
     r, s, mult = _joint_spectrum(rho, sigma)
     r = np.clip(r, 0.0, None)
     s = np.clip(s, 0.0, None)
-    keep = (r > support_tol) | (s > support_tol)
+    keep = (r > _SUPPORT_TOL) | (s > _SUPPORT_TOL)
     r, s, log2_mult = r[keep], s[keep], np.log2(mult[keep])
 
     # a pair of multiplicity m stands for m outcomes of equal likelihood
     # ratio, so it enters with m times both masses and the ratio unchanged
-    log2_p = np.where(r > support_tol, np.log2(np.maximum(r, 1e-300)) + log2_mult, NEG_INF)
-    log2_q = np.where(s > support_tol, np.log2(np.maximum(s, 1e-300)) + log2_mult, NEG_INF)
+    log2_p = np.where(r > _SUPPORT_TOL, np.log2(np.maximum(r, 1e-300)) + log2_mult, NEG_INF)
+    log2_q = np.where(s > _SUPPORT_TOL, np.log2(np.maximum(s, 1e-300)) + log2_mult, NEG_INF)
 
     # lump outcomes with numerically equal likelihood ratios so the merged
     # classes match the ideal reduced problem
@@ -439,7 +436,7 @@ def commuting_dh(
         j = idx
         while (
             j + 1 < len(order)
-            and ratio[order[j + 1]] - ratio[order[idx]] <= lump_tol
+            and ratio[order[j + 1]] - ratio[order[idx]] <= _LUMP_TOL
             and np.isfinite(ratio[order[idx]]) == np.isfinite(ratio[order[j + 1]])
         ):
             j += 1
@@ -451,12 +448,7 @@ def commuting_dh(
     return result.divergence
 
 
-def d_max_commuting(
-    rho: State,
-    sigma: State,
-    *,
-    support_tol: float = 1e-11,
-) -> float:
+def d_max_commuting(rho: State, sigma: State) -> float:
     """Max-relative entropy (bits) for a commuting pair: largest log2 eigenvalue ratio.
 
     +inf when the support of rho is not contained in the support of sigma.
@@ -464,9 +456,9 @@ def d_max_commuting(
     r, s, _ = _joint_spectrum(rho, sigma)
     best = NEG_INF
     for ri, si in zip(r, s):
-        if ri <= support_tol:
+        if ri <= _SUPPORT_TOL:
             continue
-        if si <= support_tol:
+        if si <= _SUPPORT_TOL:
             return float("inf")
         best = max(best, math.log2(ri) - math.log2(si))
     return best

@@ -43,7 +43,7 @@ def test_check_named_state_exit_codes(capsys):
 
     code, out, _ = run_cli(capsys, "check", "isotropic:1.0:2", "--k", "2")
     assert code == 2
-    assert json.loads(out)["status"] == "infeasible-signal"
+    assert json.loads(out) == {"status": "infeasible-signal", "residual": 0.9354, "iterations": 0}
 
     code, out, _ = run_cli(capsys, "check", "isotropic:0.25:2", "--k", "4")
     assert code == 0  # maximally mixed state is a product state

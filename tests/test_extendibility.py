@@ -244,15 +244,66 @@ def test_scale_guard():
         check_k_extendible(ExtensionProblem(DensityMatrix(np.eye(36) / 36, (2, 18)), 2))
 
 
+def _dense_face_projector(rho, k):
+    # reference: the face is the kernel of sum_i P_i, P_i the kernel projector
+    # of rho placed on (A, B_i), each a gather of P_1 by a transposition
+    d_a, d_b = rho.dims
+    w, u = np.linalg.eigh(rho.matrix)
+    ker = u[:, w <= 1e-10]
+    first = np.kron(ker @ ker.conj().T, np.eye(d_b ** (k - 1)))
+    total = np.zeros_like(first)
+    for i in range(k):
+        perm = list(range(k))
+        perm[0], perm[i] = i, 0
+        src = _conj_indices(d_a, d_b, k, tuple(perm))
+        total += first[np.ix_(src, src)]
+    e, v = np.linalg.eigh(total)
+    return v[:, e < 1e-9] @ v[:, e < 1e-9].conj().T
+
+
 def test_face_of_erased_family_holds_its_certificates():
-    # the face is the same for every erased weight in (0, 1); dims 4/18, 5/54, 6/162
-    for k, face_dim in [(2, 4), (3, 5), (4, 6)]:
-        face = _face(erasure_family(1.0 - 1.0 / k), k, 1e-10)
-        assert face.shape == (2 * 3**k, face_dim), k
-        assert np.max(np.abs(face.conj().T @ face - np.eye(face_dim))) < 1e-12, k
-        cert = erasure_certificate(k)
-        proj = face @ face.conj().T
-        assert np.max(np.abs(proj @ cert @ proj - cert)) <= 1e-12, k
+    rng = np.random.default_rng(8)
+
+    def unitary(d):
+        return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+    u = np.kron(unitary(2), unitary(3))
+    rotated = u @ erasure_family(0.7).matrix @ u.conj().T
+    g = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    rank3 = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    # the erased family's face is the same for every erased weight in (0, 1):
+    # dims 4/18, 5/54, 6/162; it holds the family's certificates
+    cases = [
+        (erasure_family(1.0 - 1.0 / k), k, dim, erasure_certificate(k))
+        for k, dim in [(2, 4), (3, 5), (4, 6)]
+    ]
+    cases += [
+        (DensityMatrix(linalg.hermitize(rotated), (2, 3)), 3, 5, None),
+        (DensityMatrix(linalg.hermitize(rank3), (2, 2)), 3, 5, None),
+    ]
+    for rho, k, face_dim, cert in cases:
+        d_a, d_b = rho.dims
+        f = _face(rho, k, 1e-10, _stack(d_a, d_b, k))
+        ffh = f @ f.conj().transpose(0, 2, 1)
+        dense = _dense_face_projector(rho, k)
+        assert round(np.trace(dense).real) == face_dim, k
+        widths = np.sum(np.any(f, axis=1), axis=-1)
+        assert np.dot(_schur_weyl(d_b, k)[0], widths) == face_dim, k
+        assert np.max(np.abs(ffh - _compress(dense, d_a, d_b, k))) < 1e-12, k
+        if cert is not None:
+            assert np.max(np.abs(dense @ cert - cert)) < 1e-12, k
+            blocks = _compress(cert, d_a, d_b, k)
+            assert np.max(np.abs(ffh @ blocks @ ffh - blocks)) <= 1e-12, k
+    # a pure entangled state has an empty face, and a full-rank one no face
+    assert not np.any(_face(isotropic(1.0, 2), 2, 1e-10, _stack(2, 2, 2)))
+    assert not np.any(_dense_face_projector(isotropic(1.0, 2), 2))
+    assert _face(isotropic(0.7, 2), 2, 1e-10, _stack(2, 2, 2)) is None
+    # at k = 9 (dimension 1024) the face is found in the blocks alone
+    e01 = np.zeros((4, 4), dtype=complex)
+    e01[1, 1] = 1.0
+    mix = DensityMatrix(0.3 * max_entangled(2).matrix + 0.7 * e01, (2, 2))
+    verdict = check_k_extendible(ExtensionProblem(mix, 9, max_iter=5))
+    assert verdict.face_dim == 2
 
 
 def test_face_reduced_solver_on_rank_deficient_inputs():
@@ -294,6 +345,12 @@ def test_face_reduced_solver_on_rank_deficient_inputs():
     # a pure entangled state has the face {0}, which proves infeasibility before the loop
     pure = check_k_extendible(ExtensionProblem(isotropic(1.0, 2), 2))
     assert (pure.status, pure.face_dim, pure.iterations) == (VerdictStatus.INFEASIBLE_SIGNAL, 0, 0)
+    # its residual is the full-space norm of the affine start point, read off
+    # the blocks with the s_lambda weights (unequal at k = 4)
+    phi = isotropic(1.0, 2)
+    pure = check_k_extendible(ExtensionProblem(phi, 4))
+    start = affine_project(np.kron(phi.matrix, np.eye(8) / 8), phi, 4)
+    assert abs(pure.residual - np.linalg.norm(start)) < 1e-12
 
 
 def test_threshold_bisect_isotropic_k2():
