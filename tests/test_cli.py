@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from unext import cli, linalg
+from unext import extendibility as ext_mod
 from unext.cli import main
 from unext.states import isotropic
 
@@ -39,7 +40,7 @@ def test_check_named_state_exit_codes(capsys):
     assert code == 0
     # residual carries 4 significant digits, so its bytes do not follow the
     # last digits of the solver's arithmetic
-    assert json.loads(out) == {"status": "feasible", "residual": 8.343e-08, "iterations": 56}
+    assert json.loads(out) == {"status": "feasible", "residual": 3.654e-10, "iterations": 4}
 
     code, out, _ = run_cli(capsys, "check", "isotropic:1.0:2", "--k", "2")
     assert code == 2
@@ -47,6 +48,18 @@ def test_check_named_state_exit_codes(capsys):
 
     code, out, _ = run_cli(capsys, "check", "isotropic:0.25:2", "--k", "4")
     assert code == 0  # maximally mixed state is a product state
+
+
+def test_check_never_lifts_the_certificate(monkeypatch, capsys):
+    # check prints status, residual and iterations only, so a Feasible
+    # verdict's blocks are never lifted to the full space
+    def refuse(*args):
+        raise AssertionError("check lifted a certificate")
+
+    monkeypatch.setattr(ext_mod, "_lift", refuse)
+    code, out, _ = run_cli(capsys, "check", "isotropic:0.56:2", "--k", "5")
+    assert code == 0
+    assert json.loads(out)["status"] == "feasible"
 
 
 def test_check_inconclusive_exit_code(capsys):

@@ -16,6 +16,7 @@ from unext.extendibility import (
     symmetry_defect,
     threshold_bisect,
     twirl_uu,
+    _Anderson,
     _affine,
     _compress,
     _conj_indices,
@@ -108,8 +109,9 @@ def test_schur_weyl_blocks_match_dense():
         assert np.array_equal(hits, inside.reshape(-1)), (d_a, d_b, k)
         sym = symmetrize(random_hermitian(d_a * d_b**k, 17), d_a, d_b, k)
         blocks = _compress(sym, d_a, d_b, k)
+        rows = blocks.reshape(-1)[st.index]
         assert not np.any(blocks[~inside]), (d_a, d_b, k)
-        assert np.max(np.abs(_lift(blocks, d_a, d_b, k) - sym)) < 1e-11, (d_a, d_b, k)
+        assert np.max(np.abs(_lift(rows, d_a, d_b, k) - sym)) < 1e-11, (d_a, d_b, k)
         block_eigs = np.concatenate(
             [
                 np.repeat(np.linalg.eigvalsh(x[:n, :n]), s)
@@ -118,12 +120,12 @@ def test_schur_weyl_blocks_match_dense():
         )
         dense_eigs = np.linalg.eigvalsh(sym)
         assert np.max(np.abs(np.sort(block_eigs) - dense_eigs)) < 1e-10, (d_a, d_b, k)
-        # the affine step moves a stack by -K resid, whose s-weighted norm,
-        # the full-space Frobenius norm, is read off resid through the metric
+        # the affine step moves the block entries by -K resid, whose s-weighted
+        # norm, the full-space Frobenius norm, is read off resid through the metric
         target = _rows(random_hermitian(d_a * d_b, 19), d_a)
-        x, resid = _affine(blocks, target, st)
+        x, resid = _affine(rows, target, st)
         gap = np.sqrt(np.vdot(resid, resid @ st.metric).real)
-        dense_gap = np.linalg.norm(_lift(blocks, d_a, d_b, k) - _lift(x, d_a, d_b, k))
+        dense_gap = np.linalg.norm(_lift(rows, d_a, d_b, k) - _lift(x, d_a, d_b, k))
         assert abs(gap - dense_gap) < 1e-10 * max(1.0, dense_gap), (d_a, d_b, k)
         # the PSD step on the padded stack keeps the padding zero and is the
         # projection of each block
@@ -186,22 +188,87 @@ def test_feasible_cases_and_certificates():
 
 def test_iteration_counts_do_not_rise():
     # the benchmark's extend classes as specs, at t*(k) -/+ 0.04 (erased
-    # family: 1 - 1/k + 0.04), with the iteration counts of the per-block
-    # loop as ceilings: a change to the solver may only lower them
+    # family: 1 - 1/k + 0.04), with the iteration counts of the Anderson-
+    # accelerated loop as ceilings: a change to the solver may only lower them
     cases = [
-        ("isotropic:0.71:2", 2, VerdictStatus.FEASIBLE, 74),
+        ("isotropic:0.71:2", 2, VerdictStatus.FEASIBLE, 3),
         ("isotropic:0.79:2", 2, VerdictStatus.INFEASIBLE_SIGNAL, 209),
-        ("isotropic:0.626667:2", 3, VerdictStatus.FEASIBLE, 1007),
-        ("isotropic:0.706667:2", 3, VerdictStatus.INFEASIBLE_SIGNAL, 286),
-        ("isotropic:0.585:2", 4, VerdictStatus.FEASIBLE, 1382),
-        ("isotropic:0.626667:3", 2, VerdictStatus.FEASIBLE, 445),
-        ("isotropic:0.706667:3", 2, VerdictStatus.INFEASIBLE_SIGNAL, 254),
-        ("erasure:0.54", 2, VerdictStatus.FEASIBLE, 55),
+        ("isotropic:0.626667:2", 3, VerdictStatus.FEASIBLE, 11),
+        ("isotropic:0.706667:2", 3, VerdictStatus.INFEASIBLE_SIGNAL, 256),
+        ("isotropic:0.585:2", 4, VerdictStatus.FEASIBLE, 13),
+        ("isotropic:0.626667:3", 2, VerdictStatus.FEASIBLE, 3),
+        ("isotropic:0.706667:3", 2, VerdictStatus.INFEASIBLE_SIGNAL, 228),
+        ("erasure:0.54", 2, VerdictStatus.FEASIBLE, 4),
     ]
     for spec, k, status, ceiling in cases:
         verdict = check_k_extendible(ExtensionProblem(parse_state_spec(spec), k))
         assert verdict.status is status, (spec, k)
         assert verdict.iterations <= ceiling, (spec, k, verdict.iterations)
+
+
+@pytest.mark.parametrize("k", range(6, 11))
+def test_feasible_just_below_the_isotropic_threshold(k):
+    # t*(k) - 0.005 is k-extendible by the closed form, and near the boundary
+    # the convergence rate, not the cost of an iteration, limits the solver
+    rho = isotropic((k + 1) / (2 * k) - 0.005, 2)
+    verdict = check_k_extendible(ExtensionProblem(rho, k))
+    assert verdict.status is VerdictStatus.FEASIBLE, k
+    assert verdict.iterations <= 100, (k, verdict.iterations)
+    defects = certificate_defects(verdict.certificate, rho, k)
+    assert defects.pop("psd") <= 1e-6, k
+    assert max(defects.values()) <= 1e-9, (k, defects)
+
+
+def test_certificate_is_lifted_from_the_kept_blocks():
+    rho = isotropic(0.60, 2)
+    verdict = check_k_extendible(ExtensionProblem(rho, 3))
+    assert verdict.status is VerdictStatus.FEASIBLE
+    st = _stack(2, 2, 3)
+    assert verdict.dims == (2, 2, 3)
+    assert verdict.blocks.shape == st.index.shape
+    cert = verdict.certificate
+    assert cert is verdict.certificate  # lifted once, on first read
+    assert np.array_equal(cert, _lift(verdict.blocks, 2, 2, 3))
+    assert max(certificate_defects(cert, rho, 3).values()) <= 1e-7
+    # a warm start from the certificate is at a solution already
+    again = check_k_extendible(ExtensionProblem(rho, 3), start=cert)
+    assert (again.status, again.iterations) == (VerdictStatus.FEASIBLE, 1)
+    for other in [
+        check_k_extendible(ExtensionProblem(isotropic(0.95, 2), 2)),
+        check_k_extendible(ExtensionProblem(isotropic(1.0, 2), 2)),
+        check_k_extendible(ExtensionProblem(isotropic(0.76, 2), 2, max_iter=2)),
+    ]:
+        assert other.status is not VerdictStatus.FEASIBLE
+        assert other.blocks is None and other.certificate is None
+
+
+def test_anderson_step_on_a_degenerate_history():
+    st = _stack(2, 2, 2)
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=st.index.shape) + 1j * rng.normal(size=st.index.shape)
+    tx = x + 0.1
+    # at a fixed point of the step every difference is zero: the plain step
+    anderson = _Anderson(x, st.weight)
+    for _ in range(4):
+        assert np.array_equal(anderson.step(x, tx), tx)
+    # differences along one direction make a singular Gram matrix: the
+    # extrapolation stays finite and, along that direction, exact
+    anderson = _Anderson(x, st.weight)
+    for scale in (1.0, 0.5, 0.25, 0.125):
+        nxt = anderson.step(scale * x, scale * tx)
+    assert np.all(np.isfinite(nxt))
+    assert np.max(np.abs(nxt)) < 1e-6 * np.max(np.abs(x))
+    # the maximally mixed state and a product state are feasible, with no
+    # failure when their histories degenerate
+    mixed = check_k_extendible(ExtensionProblem(parse_state_spec("isotropic:0.25:2"), 4))
+    assert mixed.status is VerdictStatus.FEASIBLE
+    pa = np.diag([0.7, 0.3]).astype(complex)
+    pb = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
+    prod = DensityMatrix(np.kron(pa, pb), (2, 2))
+    for k in (2, 4, 6):
+        verdict = check_k_extendible(ExtensionProblem(prod, k))
+        assert verdict.status is VerdictStatus.FEASIBLE, k
+        assert max(certificate_defects(verdict.certificate, prod, k).values()) <= 1e-7, k
 
 
 def test_product_state_always_feasible():
@@ -345,12 +412,12 @@ def test_face_reduced_solver_on_rank_deficient_inputs():
     # a pure entangled state has the face {0}, which proves infeasibility before the loop
     pure = check_k_extendible(ExtensionProblem(isotropic(1.0, 2), 2))
     assert (pure.status, pure.face_dim, pure.iterations) == (VerdictStatus.INFEASIBLE_SIGNAL, 0, 0)
-    # its residual is the full-space norm of the affine start point, read off
-    # the blocks with the s_lambda weights (unequal at k = 4)
+    # its residual is the distance from the face's only PSD point 0 to the
+    # affine set, read off the blocks with the s_lambda weights (unequal at k = 4)
     phi = isotropic(1.0, 2)
     pure = check_k_extendible(ExtensionProblem(phi, 4))
-    start = affine_project(np.kron(phi.matrix, np.eye(8) / 8), phi, 4)
-    assert abs(pure.residual - np.linalg.norm(start)) < 1e-12
+    nearest = affine_project(np.zeros((32, 32), dtype=complex), phi, 4)
+    assert abs(pure.residual - np.linalg.norm(nearest)) < 1e-12
 
 
 def test_threshold_bisect_isotropic_k2():
