@@ -5,9 +5,12 @@ error is at most eps. For n iid copies the optimal test is constant on the
 n+1 success-count classes, so the optimum is found exactly by sorting classes
 by likelihood ratio and filling probability mass up to 1-eps, randomizing on
 the boundary class. Everything runs in the log2 domain with compensated
-summation so that n in the hundreds stays accurate; an exact big-rational
-engine is provided for cross-validation, and a brute-force enumeration oracle
-covers small n.
+summation. Only the O(sqrt(n)) classes whose true mass lies within 2^-80 of
+eps can matter, so the fill runs on that window of classes and is then
+certified against the dropped ones, falling back to the full class list when
+the certificate fails; past the O(n) mass recursion the cost grows as
+sqrt(n). An exact engine in integer arithmetic is provided for
+cross-validation, and a brute-force enumeration oracle covers small n.
 
 The same sort-and-fill core also evaluates the divergence for commuting pairs
 of density matrices by reducing their joint spectrum to a classical outcome
@@ -38,6 +41,13 @@ _GROUP_TOL = 1e-9
 _SUPPORT_TOL = 1e-11
 # commuting_dh lumps outcomes whose log2 likelihood ratios agree within this
 _LUMP_TOL = 1e-7
+# np_divergence fills only the classes with true mass >= 2^-_WINDOW_BITS eps,
+# and accepts that answer when the dropped classes carry at most
+# 2^-_DROPPED_BITS of eps and of beta, and the kept true masses sum to 1
+# within 2^-_ROUNDING_BITS eps
+_WINDOW_BITS = 80
+_DROPPED_BITS = 64
+_ROUNDING_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -200,10 +210,57 @@ def np_divergence(hyp: BinaryHypothesisPair, eps: float) -> NPResult:
     Minimizes the alternative-hypothesis mass of a test accepting true-
     hypothesis mass at least 1-eps; the divergence is -log2 of that minimum.
     eps = 1 is rejected (the minimum would be 0 for every pair).
+
+    The fill runs on the contiguous window of success counts whose true mass
+    is at least 2^-80 eps (binomial masses are unimodal), and that answer is
+    returned when _window_certified shows the dropped classes could not have
+    changed it; otherwise the same fill runs on all n + 1 classes.
     """
-    log2_p = _binomial_log2_masses(hyp.n, hyp.p_success)
-    log2_q = _binomial_log2_masses(hyp.n, hyp.t_success)
-    return _solve_outcome_classes(log2_p, log2_q, list(range(hyp.n + 1)), eps)
+    n = hyp.n
+    log2_p = _binomial_log2_masses(n, hyp.p_success)
+    log2_q = _binomial_log2_masses(n, hyp.t_success)
+    lo, hi = 0, n + 1
+    if 0.0 < eps < 1.0 and 1.0 - eps != 1.0:
+        kept = np.flatnonzero(log2_p >= math.log2(eps) - _WINDOW_BITS)
+        lo, hi = int(kept[0]), int(kept[-1]) + 1
+    result = _solve_outcome_classes(
+        log2_p[lo:hi].tolist(), log2_q[lo:hi].tolist(), list(range(lo, hi)), eps
+    )
+    if hi - lo == n + 1 or _window_certified(log2_p, log2_q, lo, hi, eps, result):
+        return result
+    return _solve_outcome_classes(log2_p.tolist(), log2_q.tolist(), list(range(n + 1)), eps)
+
+
+def _window_certified(
+    log2_p: np.ndarray, log2_q: np.ndarray, lo: int, hi: int, eps: float, result: NPResult
+) -> bool:
+    """Whether the optimum over classes lo..hi-1 is the optimum over all classes.
+
+    The dropped classes must hold at most 2^-64 eps of true mass, and at most
+    2^-64 beta of alternative mass on the accepted side of the boundary
+    ratio; none may share a float ratio with a kept class, which would have
+    merged it into a kept group. The kept true masses must sum to 1 within
+    2^-20 eps, so that the budget stands above the masses' own rounding
+    error. The two dropped tails are read as views, never copied whole.
+    """
+    kept_ratio = log2_p[lo:hi] - log2_q[lo:hi]
+    boundary_ratio = kept_ratio[result.threshold_weight - lo]
+    lowest, highest = kept_ratio.min(), kept_ratio.max()
+    dropped_p = accepted_q = NEG_INF
+    for tail in (slice(0, lo), slice(hi, None)):
+        lp, lq = log2_p[tail], log2_q[tail]
+        with np.errstate(invalid="ignore"):
+            # +inf where only the alternative mass is 0, nan where both are
+            ratio = lp - lq
+        if np.isin(ratio[(ratio >= lowest) & (ratio <= highest)], kept_ratio).any():
+            return False
+        dropped_p = np.logaddexp2(dropped_p, np.logaddexp2.reduce(lp))
+        accepted_q = np.logaddexp2(accepted_q, np.logaddexp2.reduce(lq[ratio >= boundary_ratio]))
+    return bool(
+        dropped_p <= math.log2(eps) - _DROPPED_BITS
+        and accepted_q <= result.log2_beta - _DROPPED_BITS
+        and abs(math.fsum(np.exp2(log2_p[lo:hi]).tolist()) - 1.0) <= 2.0**-_ROUNDING_BITS * eps
+    )
 
 
 def np_oracle(hyp: BinaryHypothesisPair, eps: float) -> float:
@@ -268,6 +325,20 @@ def log2_fraction(fr: Fraction) -> float:
     return _log2_int(fr.numerator) - _log2_int(fr.denominator)
 
 
+def _binomial_numerators(n: int, num: int, den: int) -> list[int]:
+    """C(n, w) num^w (den - num)^(n - w) for w = 0..n: Binomial(n, num/den) masses times den^n."""
+    tail = [1] * (n + 1)  # (den - num)^(n - w)
+    for w in range(n - 1, -1, -1):
+        tail[w] = tail[w + 1] * (den - num)
+    out = []
+    comb, head = 1, 1  # C(n, w) and num^w
+    for w in range(n + 1):
+        out.append(comb * head * tail[w])
+        comb = comb * (n - w) // (w + 1)
+        head *= num
+    return out
+
+
 def np_divergence_exact(
     p_success: Fraction,
     t_success: Fraction,
@@ -279,6 +350,14 @@ def np_divergence_exact(
     Returns the exact beta as a Fraction together with an NPResult whose float
     fields are derived from the exact values. Used to cross-validate the
     log-domain engine.
+
+    The class masses are integers over the common denominators d^n and e^n of
+    the two hypotheses, so the fill needs no gcds. The likelihood ratio is
+    strictly monotone in the success count w when 0 < p, t < 1 and p != t,
+    so classes are ordered by w; when p = t every class has ratio 1, and when
+    p or t is 0 or 1 at most one class has both masses nonzero, so one key,
+    (alternative mass is 0, signed w), orders and merges classes exactly as
+    their ratios do.
     """
     p_success = Fraction(p_success)
     t_success = Fraction(t_success)
@@ -290,56 +369,54 @@ def np_divergence_exact(
     if n < 1:
         raise ValueError("copy count must be >= 1")
 
-    classes = []
-    for w in range(n + 1):
-        pm = Fraction(math.comb(n, w)) * p_success**w * (1 - p_success) ** (n - w)
-        qm = Fraction(math.comb(n, w)) * t_success**w * (1 - t_success) ** (n - w)
+    p_num = _binomial_numerators(n, p_success.numerator, p_success.denominator)
+    q_num = _binomial_numerators(n, t_success.numerator, t_success.denominator)
+    p_den = p_success.denominator**n
+    q_den = t_success.denominator**n
+    sign = (p_success > t_success) - (p_success < t_success)
+
+    # key -> [true numerator, alternative numerator, smallest w]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for w, (pm, qm) in enumerate(zip(p_num, q_num)):
         if pm == 0:
             continue
-        ratio: tuple[int, Fraction] = (1, Fraction(0)) if qm == 0 else (0, pm / qm)
-        classes.append((ratio, pm, qm, w))
+        key = (1, 0) if qm == 0 else (0, sign * w)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [pm, qm, w]
+        else:
+            group[0] += pm
+            group[1] += qm
+    merged = [groups[key] for key in sorted(groups, reverse=True)]
 
-    groups: dict[tuple[int, Fraction], list[int]] = {}
-    for i, (ratio, _, _, _) in enumerate(classes):
-        groups.setdefault(ratio, []).append(i)
-    merged = []
-    for ratio, idx in groups.items():
-        merged.append(
-            (
-                ratio,
-                sum(classes[i][1] for i in idx),
-                sum(classes[i][2] for i in idx),
-                min(classes[i][3] for i in idx),
-            )
-        )
-    merged.sort(key=lambda g: g[0], reverse=True)
-
-    target = 1 - eps
-    cum = Fraction(0)
-    beta = Fraction(0)
-    gamma = Fraction(1)
-    boundary_weight = merged[0][3] if merged else 0
-    for _, pm, qm, wmin in merged:
-        remaining = target - cum
+    # with eps = f/g, the true mass still to accept, 1 - eps - accepted, is remaining/(g p_den)
+    f, g = eps.numerator, eps.denominator
+    remaining = (g - f) * p_den
+    # beta = beta_num / beta_den; int / int below is correctly rounded, as float(Fraction) is
+    beta_num, beta_den = 0, q_den
+    gamma = 1.0
+    boundary_weight = merged[0][2]
+    for pm, qm, wmin in merged:
         if remaining <= 0:
             break
         boundary_weight = wmin
-        if pm <= remaining:
-            beta += qm
-            cum += pm
-            gamma = Fraction(1)
+        if g * pm <= remaining:
+            beta_num += qm
+            remaining -= g * pm
         else:
-            gamma = remaining / pm
-            beta += gamma * qm
-            cum += remaining
+            gamma = remaining / (g * pm)
+            beta_num = beta_num * g * pm + remaining * qm
+            beta_den *= g * pm
+            remaining = 0
             break
+    beta = Fraction(beta_num, beta_den)
 
     log2_beta = NEG_INF if beta == 0 else min(0.0, log2_fraction(beta))
     result = NPResult(
         log2_beta=log2_beta,
-        threshold_weight=int(boundary_weight),
-        gamma=float(gamma),
-        achieved_type1=max(0.0, float(1 - cum)),
+        threshold_weight=boundary_weight,
+        gamma=gamma,
+        achieved_type1=(f * p_den + remaining) / (g * p_den),
     )
     return beta, result
 

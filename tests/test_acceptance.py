@@ -199,7 +199,7 @@ def test_criterion_10_engine_cross_validation():
         (Fraction(3, 10), Fraction(3, 5)),
     ]
     worst = 0.0
-    for n in (50, 100, 200):
+    for n in (50, 100, 200, 1000, 3000):
         for p, t in cases:
             beta, exact_res = ht.np_divergence_exact(p, t, n, Fraction(1, 20))
             assert beta > 0

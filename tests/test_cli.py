@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -255,3 +256,29 @@ def test_selftest_detects_fixture_perturbation(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code != 0
     assert "FAIL threshold-" in out
+
+
+# sha256 of the README example outputs, the sweep's read from its --output
+# file. A change that moves one of these must be a documented correctness fix,
+# with the new hash noted in CHANGES.md.
+README_OUTPUT_SHA256 = {
+    "bound --channel erasure --p 0.35 --eps 0.05 --n-range 1:50 --k opt --per-use --output OUT": (
+        "65cc96facee2ba108ff785ac4dd335ea0b19140bf64d133c88b5d7d52a91de0d"
+    ),
+    "figure depolarizing --p 0.15 --eps 0.05 --n-max 50": (
+        "0699f5dd6bf307f89dea8b5d3f2470c350badb0d6ab4f29de81e3f34a39fc7a9"
+    ),
+    "np --p 17/20 --t 3/4 --n 100 --eps 1/20 --engine exact": (
+        "2f66871214ed3bb0ea30f09d2751e0b327d51ce7a6c696815c6a9a2e47923de6"
+    ),
+}
+
+
+def test_readme_example_outputs_are_byte_stable(tmp_path, capsys):
+    out_file = tmp_path / "erasure.csv"
+    for command, digest in README_OUTPUT_SHA256.items():
+        argv = [str(out_file) if arg == "OUT" else arg for arg in command.split()]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        data = out_file.read_bytes() if "--output" in argv else out.encode("utf-8")
+        assert hashlib.sha256(data).hexdigest() == digest, command

@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from unext import hypothesis_testing as ht
 from unext import states
 from unext.hypothesis_testing import (
     BinaryHypothesisPair,
     NPResult,
+    _binomial_log2_masses,
     _solve_outcome_classes,
     commuting_dh,
     d_max_commuting,
@@ -116,6 +118,66 @@ def test_exact_engine_matches_log_engine():
         assert beta > 0
         rel = abs(2.0 ** (log_res.log2_beta - exact_res.log2_beta) - 1.0)
         assert rel < 1e-9, (p, t, n, rel)
+
+
+def test_exact_engine_degenerate_inputs_match_oracle():
+    # point masses, identical hypotheses and eps = 0 take the merged-key paths
+    probs = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 7))
+    for p in probs:
+        for t in probs:
+            for eps in (Fraction(0), Fraction(1, 20), Fraction(1, 3)):
+                for n in (1, 2, 5, 10):
+                    if 0 < p < 1 and 0 < t < 1 and p != t and eps > 0:
+                        continue
+                    beta, res = np_divergence_exact(p, t, n, eps)
+                    ref = np_oracle(BinaryHypothesisPair(float(p), float(t), n), float(eps))
+                    if ref == NEG_INF:
+                        assert beta == 0 and res.log2_beta == NEG_INF, (p, t, eps, n)
+                    else:
+                        assert abs(res.log2_beta - ref) <= 1e-12, (p, t, eps, n)
+                    assert res.achieved_type1 <= float(eps) + 1e-15
+
+
+def test_engines_return_python_floats():
+    log_res = np_divergence(BinaryHypothesisPair(0.85, 0.6, 3000), 0.05)
+    _, exact_res = np_divergence_exact(Fraction(17, 20), Fraction(3, 5), 300, Fraction(1, 20))
+    for res in (log_res, exact_res):
+        assert type(res.log2_beta) is float
+        assert type(res.gamma) is float
+        assert type(res.achieved_type1) is float
+        assert type(res.threshold_weight) is int
+
+
+def test_window_matches_full_class_list_bit_for_bit(monkeypatch):
+    # the windowed fill, when certified, must return exactly what the fill on
+    # all n + 1 classes returns; the fallback returns it by construction
+    certified = []
+    window_certified = ht._window_certified
+
+    def spy(*args):
+        certified.append(window_certified(*args))
+        return certified[-1]
+
+    def bits(res):
+        floats = (res.log2_beta, res.gamma, res.achieved_type1)
+        return res.threshold_weight, [x.hex() for x in floats]
+
+    monkeypatch.setattr(ht, "_window_certified", spy)
+    pairs = [(0.5, 0.5), (0.3, 0.3 + 1e-7), (0.6, 0.0), (1.0, 0.4), (0.99, 0.01), (0.85, 0.6)]
+    pairs.append((0.3, 0.6))
+    epss = (0.0, 1e-300, 1e-30, 1e-17, 1e-12, 1e-6, 0.01, 0.05, 0.3, 0.9)
+    cases = [(p, t, n, eps) for p, t in pairs for eps in epss for n in (1, 9, 120, 1000)]
+    cases += [(0.85, 0.6, 20000, 0.05), (0.01, 0.99, 20000, 0.3), (0.3, 0.3 + 1e-7, 20000, 0.9)]
+    for p, t, n, eps in cases:
+        got = np_divergence(BinaryHypothesisPair(p, t, n), eps)
+        full = _solve_outcome_classes(
+            _binomial_log2_masses(n, p).tolist(),
+            _binomial_log2_masses(n, t).tolist(),
+            list(range(n + 1)),
+            eps,
+        )
+        assert bits(got) == bits(full), (p, t, n, eps)
+    assert sum(certified) >= 40, sum(certified)
 
 
 def test_log2_fraction_handles_huge_values():
