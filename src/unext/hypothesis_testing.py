@@ -8,8 +8,8 @@ the boundary class. Everything runs in the log2 domain with compensated
 summation. Only the O(sqrt(n)) classes whose true mass lies within 2^-80 of
 eps can matter, so the fill runs on that window of classes and is then
 certified against the dropped ones, falling back to the full class list when
-the certificate fails; past the O(n) mass recursion the cost grows as
-sqrt(n). An exact engine in integer arithmetic is provided for
+the certificate fails; past the O(n) numpy pass over the class masses the
+cost grows as sqrt(n). An exact engine in integer arithmetic is provided for
 cross-validation, and a brute-force enumeration oracle covers small n.
 
 The same sort-and-fill core also evaluates the divergence for commuting pairs
@@ -48,6 +48,8 @@ _LUMP_TOL = 1e-7
 _WINDOW_BITS = 80
 _DROPPED_BITS = 64
 _ROUNDING_BITS = 20
+# _binomial_log2_masses computes this many classes per numpy pass
+_MASS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,19 @@ def _log2_sum(terms: Sequence[float]) -> float:
 
 
 def _binomial_log2_masses(n: int, s: float) -> np.ndarray:
-    """log2 of Binomial(n, s) masses over success counts 0..n; point masses at s in {0, 1}."""
+    """log2 of Binomial(n, s) masses over success counts 0..n; point masses at s in {0, 1}.
+
+    Element w is (log2 C(n, w) + w log2 s) + (n - w) log2(1 - s), where
+    log2 C(n, w) is the running sum, left to right from 0.0, of the steps
+    log2(n - j + 1) - log2(j) for j = 1..w. Every element is computed in
+    exactly that order of float operations, so its bits do not depend on
+    how the work is blocked: each block of _MASS_BLOCK classes is written
+    into the output, its steps summed in place by np.add.accumulate after
+    the previous block's last running sum is added into its first step.
+    This reproduces the per-class Python recursion bit for bit as long as
+    np.log2 agrees with math.log2 on integers, which the tests check.
+    Scratch is O(block); the output is the only full-length array.
+    """
     masses = np.full(n + 1, NEG_INF)
     if s == 0.0:
         masses[0] = 0.0
@@ -117,10 +131,22 @@ def _binomial_log2_masses(n: int, s: float) -> np.ndarray:
     log2_s = math.log2(s)
     log2_f = math.log2(1.0 - s)
     log2_c = 0.0
-    for w in range(n + 1):
-        masses[w] = log2_c + w * log2_s + (n - w) * log2_f
-        if w < n:
-            log2_c += math.log2(n - w) - math.log2(w + 1)
+    for start in range(0, n + 1, _MASS_BLOCK):
+        w = np.arange(start, min(start + _MASS_BLOCK, n + 1), dtype=float)
+        out = masses[start : start + w.size]
+        scratch = np.subtract(n + 1, w)
+        # the step into class 0 is 0.0, which keeps log2(0) out of the block
+        first = 1 if start == 0 else 0
+        out[0] = 0.0
+        np.log2(scratch[first:], out=out[first:])
+        out[first:] -= np.log2(w[first:], out=scratch[first:])
+        out[0] += log2_c
+        np.add.accumulate(out, out=out)
+        log2_c = float(out[-1])
+        out += np.multiply(w, log2_s, out=scratch)
+        np.subtract(n, w, out=scratch)
+        scratch *= log2_f
+        out += scratch
     return masses
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +181,47 @@ def test_window_matches_full_class_list_bit_for_bit(monkeypatch):
     assert sum(certified) >= 40, sum(certified)
 
 
+def _reference_log2_masses(n, s):
+    """The per-class recursion _binomial_log2_masses must reproduce bit for bit."""
+    masses = np.full(n + 1, NEG_INF)
+    if s == 0.0:
+        masses[0] = 0.0
+        return masses
+    if s == 1.0:
+        masses[n] = 0.0
+        return masses
+    log2_s = math.log2(s)
+    log2_f = math.log2(1.0 - s)
+    log2_c = 0.0
+    for w in range(n + 1):
+        masses[w] = log2_c + w * log2_s + (n - w) * log2_f
+        if w < n:
+            log2_c += math.log2(n - w) - math.log2(w + 1)
+    return masses
+
+
+def test_binomial_masses_match_the_recursion_bit_for_bit():
+    rng = np.random.default_rng(12)
+    fixed = (1e-300, 1e-12, 0.5, 1 - 1e-12, 0.0, 1.0)
+    edges = [ht._MASS_BLOCK - 1, ht._MASS_BLOCK, ht._MASS_BLOCK + 1, 2 * ht._MASS_BLOCK + 1]
+    sizes = list(range(1, 601)) + [1500, 5000, 10000, 20000, 60000, 150000, 10**6] + edges
+    for n in sizes:
+        for s in (*fixed, float(rng.random())):
+            got = _binomial_log2_masses(n, s)
+            assert np.array_equal(got, _reference_log2_masses(n, s)), (n, s)
+
+
+def test_binomial_masses_scratch_stays_block_sized():
+    n = 10**6
+    tracemalloc.start()
+    try:
+        _binomial_log2_masses(n, 0.37)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n + 1) + 2 * 2**20, peak
+
+
 def test_log2_fraction_handles_huge_values():
     fr = Fraction(3**400, 7**350)
     expected = 400 * math.log2(3) - 350 * math.log2(7)
@@ -222,7 +264,7 @@ def test_divergence_dominated_by_d_max():
             assert dh <= dmax + math.log2(1.0 / (1.0 - eps)) + 1e-9
 
 
-def test_commuting_dh_identual_states():
+def test_commuting_dh_identical_states():
     rho = states.depolarizing_choi(0.2)
     for eps in (0.05, 0.3):
         assert abs(commuting_dh(rho, rho, eps) - math.log2(1 / (1 - eps))) < 1e-12
