@@ -4,13 +4,15 @@ The central object is the minimum type-II error beta of a test whose type-I
 error is at most eps. For n iid copies the optimal test is constant on the
 n+1 success-count classes, so the optimum is found exactly by sorting classes
 by likelihood ratio and filling probability mass up to 1-eps, randomizing on
-the boundary class. Everything runs in the log2 domain with compensated
-summation. Only the O(sqrt(n)) classes whose true mass lies within 2^-80 of
-eps can matter, so the fill runs on that window of classes and is then
-certified against the dropped ones, falling back to the full class list when
-the certificate fails; past the O(n) numpy pass over the class masses the
-cost grows as sqrt(n). An exact engine in integer arithmetic is provided for
-cross-validation, and a brute-force enumeration oracle covers small n.
+the boundary class. Everything runs in the log2 domain: classes are grouped
+by ratio in numpy, and the sums the fill decides on are compensated and
+kept in loop order. Only the O(sqrt(n)) classes whose true mass lies within
+2^-80 of eps can matter, so the fill runs on that window of classes and is
+then certified against the dropped ones, falling back to the full class list
+when the certificate fails; past the O(n) numpy passes over the class masses
+and the dropped tails the cost grows as sqrt(n). An exact engine in integer
+arithmetic is provided for cross-validation, and a brute-force enumeration
+oracle covers small n.
 
 The same sort-and-fill core also evaluates the divergence for commuting pairs
 of density matrices by reducing their joint spectrum to a classical outcome
@@ -48,8 +50,8 @@ _LUMP_TOL = 1e-7
 _WINDOW_BITS = 80
 _DROPPED_BITS = 64
 _ROUNDING_BITS = 20
-# _binomial_log2_masses computes this many classes per numpy pass
-_MASS_BLOCK = 1 << 16
+# _binomial_log2_masses and _window_certified read this many classes per numpy pass
+_MASS_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,8 @@ class NPResult:
 
     @property
     def divergence(self) -> float:
-        """-log2(beta), in bits; +inf when beta = 0."""
-        return -self.log2_beta
+        """-log2(beta), in bits; +inf when beta = 0, and 0.0, never -0.0, when beta = 1."""
+        return 0.0 - self.log2_beta
 
 
 def _kahan_append(total: float, comp: float, value: float) -> tuple[float, float]:
@@ -107,46 +109,59 @@ def _log2_sum(terms: Sequence[float]) -> float:
     return m + math.log2(total)
 
 
-def _binomial_log2_masses(n: int, s: float) -> np.ndarray:
+def _log2_add(total: float, terms: np.ndarray) -> float:
+    """log2(2**total + sum of 2**terms), the sum shifted by the largest term."""
+    m = max(total, float(terms.max(initial=NEG_INF)))
+    if m == NEG_INF:
+        return total
+    return m + math.log2(2.0 ** (total - m) + float(np.exp2(terms - m).sum()))
+
+
+def _binomial_log2_masses(n: int, s: float | Sequence[float]) -> np.ndarray:
     """log2 of Binomial(n, s) masses over success counts 0..n; point masses at s in {0, 1}.
 
+    s is one probability or a sequence of them, with one output row each.
     Element w is (log2 C(n, w) + w log2 s) + (n - w) log2(1 - s), where
     log2 C(n, w) is the running sum, left to right from 0.0, of the steps
     log2(n - j + 1) - log2(j) for j = 1..w. Every element is computed in
     exactly that order of float operations, so its bits do not depend on
-    how the work is blocked: each block of _MASS_BLOCK classes is written
-    into the output, its steps summed in place by np.add.accumulate after
-    the previous block's last running sum is added into its first step.
-    This reproduces the per-class Python recursion bit for bit as long as
-    np.log2 agrees with math.log2 on integers, which the tests check.
-    Scratch is O(block); the output is the only full-length array.
+    how the work is blocked or on how many rows share it: each block of
+    _MASS_BLOCK classes sums its steps once by np.add.accumulate, after the
+    previous block's last running sum is added into its first step, and
+    every row adds its own two terms to that block. This reproduces the
+    per-class Python recursion bit for bit as long as np.log2 agrees with
+    math.log2 on integers, which the tests check. Scratch is O(block); the
+    output is the only full-length array.
     """
-    masses = np.full(n + 1, NEG_INF)
-    if s == 0.0:
-        masses[0] = 0.0
+    masses = np.full(np.shape(s) + (n + 1,), NEG_INF)
+    rows = []
+    for row, sk in zip(masses.reshape(-1, n + 1), np.ravel(s).tolist()):
+        if sk in (0.0, 1.0):
+            row[0 if sk == 0.0 else n] = 0.0
+        else:
+            rows.append((row, math.log2(sk), math.log2(1.0 - sk)))
+    if not rows:
         return masses
-    if s == 1.0:
-        masses[n] = 0.0
-        return masses
-    log2_s = math.log2(s)
-    log2_f = math.log2(1.0 - s)
     log2_c = 0.0
     for start in range(0, n + 1, _MASS_BLOCK):
         w = np.arange(start, min(start + _MASS_BLOCK, n + 1), dtype=float)
-        out = masses[start : start + w.size]
-        scratch = np.subtract(n + 1, w)
-        # the step into class 0 is 0.0, which keeps log2(0) out of the block
+        c = np.subtract(n + 1, w)
+        scratch = np.empty_like(w)
         first = 1 if start == 0 else 0
-        out[0] = 0.0
-        np.log2(scratch[first:], out=out[first:])
-        out[first:] -= np.log2(w[first:], out=scratch[first:])
-        out[0] += log2_c
-        np.add.accumulate(out, out=out)
-        log2_c = float(out[-1])
-        out += np.multiply(w, log2_s, out=scratch)
-        np.subtract(n, w, out=scratch)
-        scratch *= log2_f
-        out += scratch
+        np.log2(c, out=c)
+        c[first:] -= np.log2(w[first:], out=scratch[first:])
+        # the step into class 0 is 0.0, which keeps log2(0) out of the block
+        c[:first] = 0.0
+        c[0] += log2_c
+        np.add.accumulate(c, out=c)
+        log2_c = float(c[-1])
+        for row, log2_s, log2_f in rows:
+            out = row[start : start + w.size]
+            np.multiply(w, log2_s, out=out)
+            out += c
+            np.subtract(n, w, out=scratch)
+            scratch *= log2_f
+            out += scratch
     return masses
 
 
@@ -162,59 +177,62 @@ def _solve_outcome_classes(
     included) are merged before filling, which makes the boundary
     randomization weight unique. Classes carrying no mass under either
     hypothesis are dropped; classes with zero true-hypothesis mass are never
-    accepted.
+    accepted. Groups come from a stable sort by descending ratio, members in
+    index order; a group of one keeps its masses, which is what its sum is.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps {eps} outside [0, 1)")
-    groups: dict[float, list[int]] = {}
-    for i, (lp, lq) in enumerate(zip(log2_p, log2_q)):
-        if lp == NEG_INF and lq == NEG_INF:
-            continue
-        if lp == NEG_INF:
-            continue  # zero true-mass outcomes only ever add type-II error
-        ratio = float("inf") if lq == NEG_INF else lp - lq
-        groups.setdefault(ratio, []).append(i)
-
-    merged = []
-    for ratio, idx in groups.items():
-        p_mass = 2.0 ** _log2_sum([log2_p[i] for i in idx])
-        lq_group = _log2_sum([log2_q[i] for i in idx])
-        merged.append((ratio, p_mass, lq_group, min(weights[i] for i in idx)))
-    merged.sort(key=lambda g: g[0], reverse=True)
+    log2_p, log2_q = np.asarray(log2_p, dtype=float), np.asarray(log2_q, dtype=float)
+    # zero true-mass outcomes only ever add type-II error; -ratio is -inf
+    # where only the alternative mass is 0
+    live = np.flatnonzero(log2_p != NEG_INF)
+    neg_ratio = log2_q[live] - log2_p[live]
+    by_ratio = np.argsort(neg_ratio, kind="stable")
+    order, neg_ratio = live[by_ratio], neg_ratio[by_ratio]
+    new_group = np.ones(order.size, dtype=bool)
+    np.not_equal(neg_ratio[1:], neg_ratio[:-1], out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    lp_group, lq_group = log2_p[order[starts]], log2_q[order[starts]]
+    w_min = np.minimum.reduceat(np.asarray(weights)[order], starts)
+    ends = np.append(starts[1:], order.size)
+    for g in np.flatnonzero(ends - starts > 1).tolist():
+        members = order[starts[g] : ends[g]]
+        lp_group[g] = _log2_sum(log2_p[members].tolist())
+        lq_group[g] = _log2_sum(log2_q[members].tolist())
+    p_mass = [2.0**lp for lp in lp_group.tolist()]
+    lq_group, w_min = lq_group.tolist(), w_min.tolist()
 
     target = 1.0 - eps
     # the acceptance budget left at class i equals target minus the accepted
     # prefix; computing it as suffix_i - (total - target) avoids the O(1)
     # cancellation that a running prefix subtraction would amplify on the
     # final, tiny classes
-    suffixes = [0.0] * (len(merged) + 1)
+    suffixes = [0.0] * (len(p_mass) + 1)
     s_tot, s_comp = 0.0, 0.0
-    for i in range(len(merged) - 1, -1, -1):
-        s_tot, s_comp = _kahan_append(s_tot, s_comp, merged[i][1])
+    for i in range(len(p_mass) - 1, -1, -1):
+        s_tot, s_comp = _kahan_append(s_tot, s_comp, p_mass[i])
         suffixes[i] = s_tot
     offset = suffixes[0] - target
 
     cum, comp = 0.0, 0.0
     accepted_q: list[float] = []
     gamma = 1.0
-    boundary_weight = merged[0][3] if merged else 0
+    boundary_weight = w_min[0] if w_min else 0
     boundary_lq = NEG_INF
-    for i, (ratio, p_mass, lq_group, wmin) in enumerate(merged):
+    for i, (p, lq, wmin) in enumerate(zip(p_mass, lq_group, w_min)):
         remaining = suffixes[i] - offset
         if remaining <= 0.0:
             break
         boundary_weight = wmin
         # within relative 1e-9 of the class mass the intended decision is full
         # acceptance (accepting more only lowers the type-I error)
-        if p_mass <= remaining or remaining >= p_mass * (1.0 - 1e-9):
-            accepted_q.append(lq_group)
-            cum, comp = _kahan_append(cum, comp, p_mass)
-            gamma = 1.0
-            boundary_lq = NEG_INF
+        if p <= remaining or remaining >= p * (1.0 - 1e-9):
+            accepted_q.append(lq)
+            cum, comp = _kahan_append(cum, comp, p)
         else:
-            gamma = remaining / p_mass
-            boundary_lq = lq_group
-            cum, comp = _kahan_append(cum, comp, gamma * p_mass)
+            gamma = remaining / p
+            boundary_lq = lq
+            cum, comp = _kahan_append(cum, comp, gamma * p)
             break
 
     terms = list(accepted_q)
@@ -243,18 +261,15 @@ def np_divergence(hyp: BinaryHypothesisPair, eps: float) -> NPResult:
     changed it; otherwise the same fill runs on all n + 1 classes.
     """
     n = hyp.n
-    log2_p = _binomial_log2_masses(n, hyp.p_success)
-    log2_q = _binomial_log2_masses(n, hyp.t_success)
+    log2_p, log2_q = _binomial_log2_masses(n, (hyp.p_success, hyp.t_success))
     lo, hi = 0, n + 1
     if 0.0 < eps < 1.0 and 1.0 - eps != 1.0:
         kept = np.flatnonzero(log2_p >= math.log2(eps) - _WINDOW_BITS)
         lo, hi = int(kept[0]), int(kept[-1]) + 1
-    result = _solve_outcome_classes(
-        log2_p[lo:hi].tolist(), log2_q[lo:hi].tolist(), list(range(lo, hi)), eps
-    )
+    result = _solve_outcome_classes(log2_p[lo:hi], log2_q[lo:hi], np.arange(lo, hi), eps)
     if hi - lo == n + 1 or _window_certified(log2_p, log2_q, lo, hi, eps, result):
         return result
-    return _solve_outcome_classes(log2_p.tolist(), log2_q.tolist(), list(range(n + 1)), eps)
+    return _solve_outcome_classes(log2_p, log2_q, np.arange(n + 1), eps)
 
 
 def _window_certified(
@@ -267,21 +282,25 @@ def _window_certified(
     ratio; none may share a float ratio with a kept class, which would have
     merged it into a kept group. The kept true masses must sum to 1 within
     2^-20 eps, so that the budget stands above the masses' own rounding
-    error. The two dropped tails are read as views, never copied whole.
+    error. The two dropped tails are read in blocks of _MASS_BLOCK classes,
+    each summed shifted by its largest term, so no full-length array is made.
     """
     kept_ratio = log2_p[lo:hi] - log2_q[lo:hi]
     boundary_ratio = kept_ratio[result.threshold_weight - lo]
     lowest, highest = kept_ratio.min(), kept_ratio.max()
     dropped_p = accepted_q = NEG_INF
-    for tail in (slice(0, lo), slice(hi, None)):
-        lp, lq = log2_p[tail], log2_q[tail]
-        with np.errstate(invalid="ignore"):
-            # +inf where only the alternative mass is 0, nan where both are
-            ratio = lp - lq
-        if np.isin(ratio[(ratio >= lowest) & (ratio <= highest)], kept_ratio).any():
-            return False
-        dropped_p = np.logaddexp2(dropped_p, np.logaddexp2.reduce(lp))
-        accepted_q = np.logaddexp2(accepted_q, np.logaddexp2.reduce(lq[ratio >= boundary_ratio]))
+    for begin, stop in ((0, lo), (hi, log2_p.size)):
+        for start in range(begin, stop, _MASS_BLOCK):
+            block = slice(start, min(start + _MASS_BLOCK, stop))
+            lp, lq = log2_p[block], log2_q[block]
+            with np.errstate(invalid="ignore"):
+                # +inf where only the alternative mass is 0, nan where both are
+                ratio = lp - lq
+                near = ratio[(ratio >= lowest) & (ratio <= highest)]
+            if near.size and np.isin(near, kept_ratio).any():
+                return False
+            dropped_p = _log2_add(dropped_p, lp)
+            accepted_q = _log2_add(accepted_q, lq[ratio >= boundary_ratio])
     return bool(
         dropped_p <= math.log2(eps) - _DROPPED_BITS
         and accepted_q <= result.log2_beta - _DROPPED_BITS
@@ -547,7 +566,7 @@ def commuting_dh(rho: State, sigma: State, eps: float) -> float:
         lumped_p.append(_log2_sum([float(log2_p[i]) for i in members]))
         lumped_q.append(_log2_sum([float(log2_q[i]) for i in members]))
         idx = j + 1
-    result = _solve_outcome_classes(lumped_p, lumped_q, list(range(len(lumped_p))), eps)
+    result = _solve_outcome_classes(lumped_p, lumped_q, np.arange(len(lumped_p)), eps)
     return result.divergence
 
 

@@ -36,6 +36,20 @@ def test_np_engines_agree(capsys):
     assert abs(d_log - d_exact) < 1e-9
 
 
+def test_beta_one_prints_positive_zero(capsys):
+    # beta = 1 gives D = 0.0; printing -log2(beta) wrote -0.0
+    code, out, _ = run_cli(capsys, "np", "--p", "0.3", "--t", "0.7", "--eps", "0", "--n", "4")
+    assert code == 0
+    assert out == '{\n  "D": 0.0,\n  "beta": 1.0,\n  "threshold_weight": 4,\n  "gamma": 1.0\n}\n'
+    argv = "bound --channel depolarizing --p 0.75 --eps 0 --n 2 --k inf --format json".split()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "-0.0" not in out
+    row = json.loads(out)["rows"][0]
+    assert math.copysign(1.0, row["divergence"]) == math.copysign(1.0, row["rate_bound"]) == 1.0
+    assert row["divergence"] == row["rate_bound"] == 0.0
+
+
 def test_check_named_state_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "check", "erasure:0.5", "--k", "2")
     assert code == 0

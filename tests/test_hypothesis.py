@@ -149,6 +149,17 @@ def test_engines_return_python_floats():
         assert type(res.threshold_weight) is int
 
 
+# (p, t) and eps that take the window, its fallback and the degenerate paths
+PAIRS = [(0.5, 0.5), (0.3, 0.3 + 1e-7), (0.6, 0.0), (1.0, 0.4), (0.99, 0.01), (0.85, 0.6)]
+PAIRS.append((0.3, 0.6))
+EPSS = (0.0, 1e-300, 1e-30, 1e-17, 1e-12, 1e-6, 0.01, 0.05, 0.3, 0.9)
+
+
+def _bits(res):
+    floats = (res.log2_beta, res.gamma, res.achieved_type1)
+    return res.threshold_weight, [x.hex() for x in floats]
+
+
 def test_window_matches_full_class_list_bit_for_bit(monkeypatch):
     # the windowed fill, when certified, must return exactly what the fill on
     # all n + 1 classes returns; the fallback returns it by construction
@@ -159,15 +170,8 @@ def test_window_matches_full_class_list_bit_for_bit(monkeypatch):
         certified.append(window_certified(*args))
         return certified[-1]
 
-    def bits(res):
-        floats = (res.log2_beta, res.gamma, res.achieved_type1)
-        return res.threshold_weight, [x.hex() for x in floats]
-
     monkeypatch.setattr(ht, "_window_certified", spy)
-    pairs = [(0.5, 0.5), (0.3, 0.3 + 1e-7), (0.6, 0.0), (1.0, 0.4), (0.99, 0.01), (0.85, 0.6)]
-    pairs.append((0.3, 0.6))
-    epss = (0.0, 1e-300, 1e-30, 1e-17, 1e-12, 1e-6, 0.01, 0.05, 0.3, 0.9)
-    cases = [(p, t, n, eps) for p, t in pairs for eps in epss for n in (1, 9, 120, 1000)]
+    cases = [(p, t, n, eps) for p, t in PAIRS for eps in EPSS for n in (1, 9, 120, 1000)]
     cases += [(0.85, 0.6, 20000, 0.05), (0.01, 0.99, 20000, 0.3), (0.3, 0.3 + 1e-7, 20000, 0.9)]
     for p, t, n, eps in cases:
         got = np_divergence(BinaryHypothesisPair(p, t, n), eps)
@@ -177,8 +181,137 @@ def test_window_matches_full_class_list_bit_for_bit(monkeypatch):
             list(range(n + 1)),
             eps,
         )
-        assert bits(got) == bits(full), (p, t, n, eps)
+        assert _bits(got) == _bits(full), (p, t, n, eps)
     assert sum(certified) >= 40, sum(certified)
+
+
+def _reference_solve_outcome_classes(log2_p, log2_q, weights, eps):
+    """The dict-and-Kahan fill _solve_outcome_classes must reproduce bit for bit."""
+    groups = {}
+    for i, (lp, lq) in enumerate(zip(log2_p, log2_q)):
+        if lp == NEG_INF:
+            continue
+        ratio = float("inf") if lq == NEG_INF else lp - lq
+        groups.setdefault(ratio, []).append(i)
+
+    merged = []
+    for ratio, idx in groups.items():
+        p_mass = 2.0 ** ht._log2_sum([log2_p[i] for i in idx])
+        lq_group = ht._log2_sum([log2_q[i] for i in idx])
+        merged.append((ratio, p_mass, lq_group, min(weights[i] for i in idx)))
+    merged.sort(key=lambda g: g[0], reverse=True)
+
+    target = 1.0 - eps
+    suffixes = [0.0] * (len(merged) + 1)
+    s_tot, s_comp = 0.0, 0.0
+    for i in range(len(merged) - 1, -1, -1):
+        s_tot, s_comp = ht._kahan_append(s_tot, s_comp, merged[i][1])
+        suffixes[i] = s_tot
+    offset = suffixes[0] - target
+
+    cum, comp = 0.0, 0.0
+    accepted_q = []
+    gamma = 1.0
+    boundary_weight = merged[0][3] if merged else 0
+    boundary_lq = NEG_INF
+    for i, (ratio, p_mass, lq_group, wmin) in enumerate(merged):
+        remaining = suffixes[i] - offset
+        if remaining <= 0.0:
+            break
+        boundary_weight = wmin
+        if p_mass <= remaining or remaining >= p_mass * (1.0 - 1e-9):
+            accepted_q.append(lq_group)
+            cum, comp = ht._kahan_append(cum, comp, p_mass)
+            gamma = 1.0
+            boundary_lq = NEG_INF
+        else:
+            gamma = remaining / p_mass
+            boundary_lq = lq_group
+            cum, comp = ht._kahan_append(cum, comp, gamma * p_mass)
+            break
+
+    terms = list(accepted_q)
+    if boundary_lq != NEG_INF and gamma > 0.0:
+        terms.append(math.log2(gamma) + boundary_lq)
+    return NPResult(
+        log2_beta=min(0.0, ht._log2_sum(terms)),
+        threshold_weight=int(boundary_weight),
+        gamma=min(max(gamma, 0.0), 1.0),
+        achieved_type1=max(0.0, 1.0 - cum),
+    )
+
+
+def _assert_fill_matches_reference(log2_p, log2_q, weights, eps, case):
+    got = _solve_outcome_classes(log2_p, log2_q, weights, eps)
+    want = _reference_solve_outcome_classes(
+        np.asarray(log2_p, dtype=float).tolist(),
+        np.asarray(log2_q, dtype=float).tolist(),
+        np.asarray(weights).tolist(),
+        eps,
+    )
+    assert type(got.threshold_weight) is int
+    assert _bits(got) == _bits(want), case
+
+
+def test_fill_matches_the_dict_and_kahan_fill_bit_for_bit():
+    # binomial windows and full class lists over PAIRS and EPSS; the
+    # reference takes up to 0.1 s on a full list of 20001 classes and
+    # 0.7 s on 150001, so those are filled whole at one eps, and the largest
+    # only for one pair of each kind: all ratios equal, all distinct, and one
+    # group of all classes but one at ratio +inf
+    whole_at_150000 = {(0.5, 0.5), (0.85, 0.6), (0.6, 0.0)}
+    for p, t in PAIRS:
+        for n in [*range(1, 121), 1000, 20000, 150000]:
+            log2_p, log2_q = _binomial_log2_masses(n, (p, t))
+            for eps in EPSS:
+                if n <= 1000 or eps == 0.05 and (n == 20000 or (p, t) in whole_at_150000):
+                    whole = (log2_p, log2_q, np.arange(n + 1))
+                    _assert_fill_matches_reference(*whole, eps, (p, t, n, eps))
+                if eps == 0.0:
+                    continue
+                lo, hi = np.flatnonzero(log2_p >= math.log2(eps) - ht._WINDOW_BITS)[[0, -1]]
+                if hi - lo < n:
+                    window = (log2_p[lo : hi + 1], log2_q[lo : hi + 1], np.arange(lo, hi + 1))
+                    _assert_fill_matches_reference(*window, eps, (p, t, n, eps, lo, hi))
+
+    # random class lists with exact ratio ties, zero masses on either side or
+    # both, and unsorted weights; dyadic log2 masses keep the ties exact
+    rng = np.random.default_rng(17)
+    for trial in range(2000):
+        size = int(rng.integers(1, 60))
+        ratios = rng.integers(-16, 17, size=int(rng.integers(1, 6))) / 4.0
+        log2_p = -rng.integers(0, 64, size=size) / 8.0 - rng.integers(0, 8)
+        log2_q = log2_p - rng.choice(ratios, size=size)
+        fresh = rng.random(size) < 0.3
+        log2_p[fresh] = -30.0 * rng.random(int(fresh.sum()))
+        log2_p[rng.random(size) < 0.1] = NEG_INF
+        log2_q[rng.random(size) < 0.1] = NEG_INF
+        weights = rng.permutation(size) + int(rng.integers(0, 100))
+        eps = float(rng.choice([0.0, 1e-300, 1e-12, 0.05, 0.3, 0.9, rng.random()]))
+        _assert_fill_matches_reference(log2_p, log2_q, weights, eps, trial)
+
+    for eps in (0.0, 0.05):
+        _assert_fill_matches_reference([], [], [], eps, "empty")
+        _assert_fill_matches_reference([NEG_INF], [0.0], [3], eps, "no true mass")
+
+
+def test_fill_matches_the_dict_and_kahan_fill_on_lumped_classes(monkeypatch):
+    # the lumped outcome lists commuting_dh fills for the criterion-03 pairs
+    lumped = []
+    fill = ht._solve_outcome_classes
+
+    def spy(*args):
+        lumped.append(args)
+        return fill(*args)
+
+    monkeypatch.setattr(ht, "_solve_outcome_classes", spy)
+    powers = [(states.depolarizing_choi(0.15), states.isotropic(0.75, 2), n) for n in range(1, 7)]
+    powers += [(states.erasure_output(0.35), states.erasure_family(0.5), n) for n in range(1, 5)]
+    for rho, sig, n in powers:
+        commuting_dh(states.tensor_power(rho, n), states.tensor_power(sig, n), 0.05)
+    assert len(lumped) == len(powers)
+    for args in lumped:
+        _assert_fill_matches_reference(*args, args)
 
 
 def _reference_log2_masses(n, s):
@@ -206,20 +339,39 @@ def test_binomial_masses_match_the_recursion_bit_for_bit():
     edges = [ht._MASS_BLOCK - 1, ht._MASS_BLOCK, ht._MASS_BLOCK + 1, 2 * ht._MASS_BLOCK + 1]
     sizes = list(range(1, 601)) + [1500, 5000, 10000, 20000, 60000, 150000, 10**6] + edges
     for n in sizes:
-        for s in (*fixed, float(rng.random())):
-            got = _binomial_log2_masses(n, s)
-            assert np.array_equal(got, _reference_log2_masses(n, s)), (n, s)
+        probs = (*fixed, float(rng.random()))
+        want = [_reference_log2_masses(n, s) for s in probs]
+        for s, ref in zip(probs, want):
+            assert np.array_equal(_binomial_log2_masses(n, s), ref), (n, s)
+        # rows computed in one call share the running log2 C(n, w)
+        rows = _binomial_log2_masses(n, probs)
+        assert rows.shape == (len(probs), n + 1)
+        assert all(np.array_equal(row, ref) for row, ref in zip(rows, want)), n
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_binomial_masses_scratch_stays_block_sized():
     n = 10**6
-    tracemalloc.start()
-    try:
-        _binomial_log2_masses(n, 0.37)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _peak_bytes(lambda: _binomial_log2_masses(n, 0.37))
     assert peak <= 8 * (n + 1) + 2 * 2**20, peak
+    peak = _peak_bytes(lambda: _binomial_log2_masses(n, (0.37, 0.6)))
+    assert peak <= 16 * (n + 1) + 2 * 2**20, peak
+
+
+def test_np_divergence_holds_two_mass_rows_and_block_scratch():
+    # the two mass rows are the only full-length arrays: the fill runs on the
+    # window and the certificate reads the dropped tails block by block
+    n = 150000
+    peak = _peak_bytes(lambda: np_divergence(BinaryHypothesisPair(0.85, 0.7, n), 0.05))
+    assert peak <= 16 * (n + 1) + 2**20, peak
 
 
 def test_log2_fraction_handles_huge_values():
