@@ -108,6 +108,19 @@ def _invert(divergence: float, k: float, n: int) -> float:
     return log2_m / n if log2_m != INF else INF
 
 
+def _bernoulli_ceiling(
+    n: int, eps: float, k: float, p_true: float, p_alt: float, param: float, provenance: str
+) -> BoundResult:
+    """Ceiling from the n-use Bernoulli(p_true) vs Bernoulli(p_alt) divergence.
+
+    param is the reference state's parameter. At k = inf the inversion is
+    the divergence per use, the limiting curve.
+    """
+    d = np_divergence(BinaryHypothesisPair(p_true, p_alt, n), eps).divergence
+    method = METHOD_LIMIT if k == INF else METHOD_POST
+    return BoundResult(n, _invert(d, k, n), k, param, method, d, provenance)
+
+
 def depolarizing_bound(query: BoundQuery) -> BoundResult:
     """Rate ceiling for the depolarizing channel against an isotropic reference.
 
@@ -131,13 +144,7 @@ def depolarizing_bound(query: BoundQuery) -> BoundResult:
         if t <= 0.0:
             raise ValueError("sigma parameter must be positive")
         provenance = "override"
-    res = np_divergence(BinaryHypothesisPair(1.0 - p, t, query.n), query.eps)
-    d = res.divergence
-    if query.k == INF:
-        return BoundResult(query.n, d / query.n, INF, t, METHOD_LIMIT, d, provenance)
-    return BoundResult(
-        query.n, _invert(d, query.k, query.n), query.k, t, METHOD_POST, d, provenance
-    )
+    return _bernoulli_ceiling(query.n, query.eps, query.k, 1.0 - p, t, t, provenance)
 
 
 def erasure_bound(query: BoundQuery) -> BoundResult:
@@ -162,12 +169,8 @@ def erasure_bound(query: BoundQuery) -> BoundResult:
             )
         q_param = query.sigma_param
         provenance = "override"
-    res = np_divergence(BinaryHypothesisPair(1.0 - p, 1.0 - q_param, query.n), query.eps)
-    d = res.divergence
-    if query.k == INF:
-        return BoundResult(query.n, d / query.n, INF, q_param, METHOD_LIMIT, d, provenance)
-    return BoundResult(
-        query.n, _invert(d, query.k, query.n), query.k, q_param, METHOD_POST, d, provenance
+    return _bernoulli_ceiling(
+        query.n, query.eps, query.k, 1.0 - p, 1.0 - q_param, q_param, provenance
     )
 
 
@@ -195,11 +198,7 @@ def distillation_bound_bell_diagonal(
     if n < 1:
         raise ValueError("copy count must be >= 1")
     t, provenance = t_star(k)
-    res = np_divergence(BinaryHypothesisPair(lam[0], t, n), eps)
-    d = res.divergence
-    if k == INF:
-        return BoundResult(n, d / n, INF, t, METHOD_LIMIT, d, provenance)
-    return BoundResult(n, _invert(d, k, n), k, t, METHOD_POST, d, provenance)
+    return _bernoulli_ceiling(n, eps, k, lam[0], t, t, provenance)
 
 
 def interleaved_bound(query: BoundQuery) -> BoundResult:

@@ -31,7 +31,8 @@ runs on the face every extension lives on (facial reduction), found
 directly in the same blocks, which spares such states the thousands of
 iterations the degenerate directions cost.
 
-Full-space operators enter and leave the blocks through the group average,
+Operators enter the solver only as block entries (a warm start is a
+Feasible verdict's blocks) and leave it only through the group average,
 which works in index space: permutation-invariant operators on A (x) B^(x)k
 are constant on the orbits of matrix entries under simultaneous permutation
 of the row and column B digits, so the average is a mean over orbits through
@@ -133,17 +134,9 @@ def _generator_perms(k: int) -> list[tuple[int, ...]]:
     return gens
 
 
-@dataclass(frozen=True)
-class _IndexMaps:
-    """Orbits of the entries of A (x) B^(x)k under B-factor permutations, row-major."""
-
-    labels: np.ndarray  # orbit label of every entry
-    sizes: np.ndarray  # number of entries in each orbit
-
-
 @lru_cache(maxsize=None)
-def _index_maps(d_a: int, d_b: int, k: int) -> _IndexMaps:
-    """Orbit labels of the entries under B-factor permutations.
+def _index_maps(d_a: int, d_b: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit label of every entry under B-factor permutations, row-major, and the orbit sizes.
 
     A permutation of the B factors moves entry (r, c), with B digits
     (b_1..b_k) and (b'_1..b'_k), onto every entry with the same A digits and
@@ -179,7 +172,7 @@ def _index_maps(d_a: int, d_b: int, k: int) -> _IndexMaps:
     np.cumsum(rank, out=rank)
     rank -= 1
     labels = rank[rep.reshape(-1)]
-    return _IndexMaps(labels=labels, sizes=np.bincount(labels))
+    return labels, np.bincount(labels)
 
 
 def _shapes(k: int, rows: int, cap: Optional[int] = None) -> list[tuple[int, ...]]:
@@ -413,11 +406,11 @@ def symmetrize(omega: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
     omega = np.asarray(omega, dtype=complex)
     if omega.shape != (dim, dim):
         raise ValueError(f"omega shape {omega.shape} does not match dims ({d_a}, {d_b}^{k})")
-    maps = _index_maps(d_a, d_b, k)
+    labels, sizes = _index_maps(d_a, d_b, k)
     flat = omega.reshape(-1)
-    n = maps.sizes.size
-    sums = np.bincount(maps.labels, flat.real, n) + 1j * np.bincount(maps.labels, flat.imag, n)
-    return (sums / maps.sizes)[maps.labels].reshape(dim, dim)
+    n = sizes.size
+    sums = np.bincount(labels, flat.real, n) + 1j * np.bincount(labels, flat.imag, n)
+    return (sums / sizes)[labels].reshape(dim, dim)
 
 
 def symmetry_defect(omega: np.ndarray, d_a: int, d_b: int, k: int) -> float:
@@ -427,29 +420,6 @@ def symmetry_defect(omega: np.ndarray, d_a: int, d_b: int, k: int) -> float:
         src = _conj_indices(d_a, d_b, k, g)
         defect = max(defect, float(np.max(np.abs(omega[np.ix_(src, src)] - omega))))
     return defect
-
-
-def affine_project(omega: np.ndarray, rho: DensityMatrix, k: int) -> np.ndarray:
-    """Frobenius projection onto the affine extension set of rho.
-
-    The set consists of Hermitian matrices that are permutation-invariant on
-    the B factors and whose reduction onto (A, B_1) equals rho (unit trace
-    follows). Projecting onto the symmetric subspace first is lossless since
-    the set lies inside it. The symmetrized matrix is compressed to its
-    Schur-Weyl blocks, where the reduction constraint is restored by the
-    minimum-norm correction in the s_lambda-weighted norm (the Frobenius norm
-    of the full space), and lifted back.
-    """
-    d_a, d_b = rho.dims
-    return _lift(_projected_blocks(omega, rho, k), d_a, d_b, k)
-
-
-def _projected_blocks(omega: np.ndarray, rho: DensityMatrix, k: int) -> np.ndarray:
-    """Block entries (see _Stack) of affine_project(omega, rho, k)."""
-    d_a, d_b = rho.dims
-    st = _stack(d_a, d_b, k)
-    blocks = _compress(symmetrize(hermitize(omega), d_a, d_b, k), d_a, d_b, k)
-    return _affine(blocks.reshape(-1)[st.index], _rows(rho.matrix, d_a), st)[0]
 
 
 class _Anderson:
@@ -522,14 +492,15 @@ def check_k_extendible(
 
     The iterates are the entries of the Schur-Weyl blocks of the full-space
     ones (see the module docstring), scattered into the zero-padded stack for
-    the PSD step. The default start is the minimum-norm point of the affine
-    set, the affine projection of 0; a start operator enters as the blocks
-    of its symmetrization. The gap is the s_lambda-weighted norm of the block
-    differences, which equals the full-space Frobenius norm; since the affine
-    step moves y to y + K r with the reduction residual r, it is read off r as
-    sqrt(Re<r, r G>), G = K^T W K. A Feasible verdict keeps the certificate's
-    block entries and lifts them to the full space when .certificate is first
-    read.
+    the PSD step. The first iterate is the affine projection of start: block
+    entries in _Stack column order, such as a Feasible verdict's .blocks for
+    the same (d_A, d_B, k), or zero blocks by default, which give the
+    minimum-norm point of the affine set. The gap is the s_lambda-weighted
+    norm of the block differences, which equals the full-space Frobenius
+    norm; since the affine step moves y to y + K r with the reduction
+    residual r, it is read off r as sqrt(Re<r, r G>), G = K^T W K. A Feasible
+    verdict keeps the certificate's block entries and lifts them to the full
+    space when .certificate is first read.
 
     For a rank-deficient rho (eigenvalues <= 1e-3*tol count as kernel) the
     PSD step of block X is F psd_project(F^dagger X F) F^dagger, with F the
@@ -548,9 +519,10 @@ def check_k_extendible(
     st = _stack(d_a, d_b, k)
     target = _rows(rho.matrix, d_a)
     if start is None:
-        x = _affine(np.zeros_like(target, shape=st.index.shape), target, st)[0]
-    else:
-        x = _projected_blocks(start, rho, k)
+        start = np.zeros_like(target, shape=st.index.shape)
+    elif np.shape(start) != st.index.shape:
+        raise ValueError(f"start must be block entries of shape {st.index.shape}")
+    x = _affine(start, target, st)[0]
     f = _face(rho, k, 1e-3 * prob.tol, st)
     if f is None:
         face_dim = d_a * d_b**k
@@ -600,41 +572,32 @@ def certificate_defects(cert: np.ndarray, rho: DensityMatrix, k: int) -> dict[st
     }
 
 
-def threshold_bisect(
-    family: Callable[[float], DensityMatrix],
-    k: int,
-    lo: float,
-    hi: float,
-    *,
-    xtol: float = 0.005,
-    tol: float = 1e-7,
-    max_iter: int = 50000,
-) -> float:
+def threshold_bisect(family: Callable[[float], DensityMatrix], k: int, lo: float, hi: float) -> float:
     """Locate the extendibility boundary of a monotone one-parameter family.
 
-    family(lo) must be Feasible and family(hi) InfeasibleSignal. Once the
-    bracket has width <= 2*xtol the feasible end lo is returned: it is the
-    last parameter the solver confirmed Feasible, whereas the midpoint can
-    sit on the infeasible side of the boundary. An Inconclusive midpoint is
-    treated as not-confirmed-feasible, which can only bias the boundary toward
-    the feasible side; for the sigma choices built on these thresholds that is
+    family(lo) must be Feasible and family(hi) InfeasibleSignal, both at the
+    ExtensionProblem defaults. Each midpoint query warm-starts from the block
+    entries of the last Feasible verdict. Once the bracket has width <= 0.01
+    the feasible end lo is returned: it is the last parameter the solver
+    confirmed Feasible, whereas the midpoint can sit on the infeasible side
+    of the boundary. An Inconclusive midpoint is treated as
+    not-confirmed-feasible, which can only bias the boundary toward the
+    feasible side; for the sigma choices built on these thresholds that is
     the sound direction.
     """
-    v_lo = check_k_extendible(ExtensionProblem(family(lo), k, tol=tol, max_iter=max_iter))
+    v_lo = check_k_extendible(ExtensionProblem(family(lo), k))
     if v_lo.status is not VerdictStatus.FEASIBLE:
         raise ValueError(f"family({lo}) is not Feasible (got {v_lo.status.value})")
-    v_hi = check_k_extendible(ExtensionProblem(family(hi), k, tol=tol, max_iter=max_iter))
+    v_hi = check_k_extendible(ExtensionProblem(family(hi), k))
     if v_hi.status is not VerdictStatus.INFEASIBLE_SIGNAL:
         raise ValueError(f"family({hi}) is not InfeasibleSignal (got {v_hi.status.value})")
-    warm = v_lo.certificate
-    while abs(hi - lo) > 2.0 * xtol:
+    warm = v_lo.blocks
+    while abs(hi - lo) > 0.01:
         mid = 0.5 * (lo + hi)
-        verdict = check_k_extendible(
-            ExtensionProblem(family(mid), k, tol=tol, max_iter=max_iter), start=warm
-        )
+        verdict = check_k_extendible(ExtensionProblem(family(mid), k), start=warm)
         if verdict.status is VerdictStatus.FEASIBLE:
             lo = mid
-            warm = verdict.certificate
+            warm = verdict.blocks
         else:
             hi = mid
     return lo

@@ -33,12 +33,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL
 from .states import State, same_power
 
 NEG_INF = float("-inf")
 # sigma eigenvalues closer than this share one eigenspace in _co_diagonalize
 _GROUP_TOL = 1e-9
+# _co_diagonalize rejects pairs whose commutator defect exceeds this, relative to their scale
+_COMMUTING_TOL = 1e-10
 # joint eigenvalues at or below this count as outside a state's support
 _SUPPORT_TOL = 1e-11
 # commuting_dh lumps outcomes whose log2 likelihood ratios agree within this
@@ -480,7 +481,7 @@ def _co_diagonalize(rho: State, sigma: State) -> tuple[np.ndarray, np.ndarray]:
     prod = a @ b
     defect = float(np.max(np.abs(prod - prod.conj().T)))
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    if defect > DEFAULT_TOL.commuting * scale:
+    if defect > _COMMUTING_TOL * scale:
         raise ValueError(f"states do not commute: commutator defect {defect:.3e}")
     s_vals, v = np.linalg.eigh(b)
     r_out = np.empty_like(s_vals)
@@ -546,26 +547,29 @@ def commuting_dh(rho: State, sigma: State, eps: float) -> float:
     log2_q = np.where(s > _SUPPORT_TOL, np.log2(np.maximum(s, 1e-300)) + log2_mult, NEG_INF)
 
     # lump outcomes with numerically equal likelihood ratios so the merged
-    # classes match the ideal reduced problem
+    # classes match the ideal reduced problem: a class of finite ratios ends
+    # where the sorted ratios exceed its first by more than _LUMP_TOL, and
+    # each infinite ratio is a class of its own
     ratio = np.where(
         log2_p == NEG_INF, NEG_INF, np.where(log2_q == NEG_INF, np.inf, log2_p - log2_q)
     )
     order = np.argsort(ratio, kind="stable")
+    sorted_ratio = ratio[order]
+    lo = int(np.searchsorted(sorted_ratio, NEG_INF, side="right"))  # first finite ratio
+    hi = int(np.searchsorted(sorted_ratio, np.inf))  # first +inf ratio
     lumped_p: list[float] = []
     lumped_q: list[float] = []
     idx = 0
     while idx < len(order):
-        j = idx
-        while (
-            j + 1 < len(order)
-            and ratio[order[j + 1]] - ratio[order[idx]] <= _LUMP_TOL
-            and np.isfinite(ratio[order[idx]]) == np.isfinite(ratio[order[j + 1]])
-        ):
-            j += 1
-        members = order[idx : j + 1]
-        lumped_p.append(_log2_sum([float(log2_p[i]) for i in members]))
-        lumped_q.append(_log2_sum([float(log2_q[i]) for i in members]))
-        idx = j + 1
+        if lo <= idx < hi:
+            tail = sorted_ratio[idx:hi] - sorted_ratio[idx]
+            end = idx + int(np.searchsorted(tail, _LUMP_TOL, side="right"))
+        else:
+            end = idx + 1
+        members = order[idx:end]
+        lumped_p.append(_log2_sum(log2_p[members].tolist()))
+        lumped_q.append(_log2_sum(log2_q[members].tolist()))
+        idx = end
     result = _solve_outcome_classes(lumped_p, lumped_q, np.arange(len(lumped_p)), eps)
     return result.divergence
 

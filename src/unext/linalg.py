@@ -3,23 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numerical tolerances. All defaults live here."""
-
-    hermiticity: float = 1e-12
-    trace: float = 1e-10
-    psd: float = 1e-10
-    commuting: float = 1e-10
-
-
-DEFAULT_TOL = Tolerances()
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -15,7 +15,13 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import linalg
-from .linalg import DEFAULT_TOL
+
+# DensityMatrix accepts a Hermiticity defect up to _HERMITICITY_TOL times
+# max(1, largest entry), a trace within _TRACE_TOL of 1 and a smallest
+# eigenvalue down to -_PSD_TOL
+_HERMITICITY_TOL = 1e-12
+_TRACE_TOL = 1e-10
+_PSD_TOL = 1e-10
 
 # PSD validation by eigenvalue scan is skipped above this dimension; the
 # cheap checks (Hermiticity, trace, dims) always run. Tensor powers are not
@@ -46,15 +52,15 @@ class DensityMatrix:
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
         scale = max(1.0, float(np.max(np.abs(m))))
-        if linalg.hermiticity_defect(m) > DEFAULT_TOL.hermiticity * scale:
+        if linalg.hermiticity_defect(m) > _HERMITICITY_TOL * scale:
             raise ValueError("density matrix is not Hermitian")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > DEFAULT_TOL.trace:
-            raise ValueError(f"trace {tr} is not 1 within {DEFAULT_TOL.trace}")
+        if abs(tr - 1.0) > _TRACE_TOL:
+            raise ValueError(f"trace {tr} is not 1 within {_TRACE_TOL}")
         if n <= _PSD_CHECK_MAX_DIM:
             lo = float(np.linalg.eigvalsh(linalg.hermitize(m))[0])
-            if lo < -DEFAULT_TOL.psd:
-                raise ValueError(f"minimum eigenvalue {lo:.3e} below -{DEFAULT_TOL.psd}")
+            if lo < -_PSD_TOL:
+                raise ValueError(f"minimum eigenvalue {lo:.3e} below -{_PSD_TOL}")
 
     @property
     def dim(self) -> int:

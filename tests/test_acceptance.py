@@ -69,7 +69,7 @@ def test_criterion_02_identical_hypotheses_law():
 def test_criterion_03_commuting_reduction():
     worst = 0.0
     eps = 0.05
-    for n in range(1, 7):
+    for n in range(1, 13):
         rho = states.tensor_power(states.depolarizing_choi(0.15), n)
         sig = states.tensor_power(states.isotropic(0.75, 2), n)
         got = ht.commuting_dh(rho, sig, eps)

@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import unext
 from unext import cli, linalg
 from unext import extendibility as ext_mod
 from unext.cli import main
@@ -296,3 +301,24 @@ def test_readme_example_outputs_are_byte_stable(tmp_path, capsys):
         assert code == 0
         data = out_file.read_bytes() if "--output" in argv else out.encode("utf-8")
         assert hashlib.sha256(data).hexdigest() == digest, command
+
+
+def test_cli_import_loads_no_third_party_module_but_numpy():
+    # every command pays for this import: other dependencies load where they are used
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import unext.cli\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(added - set(sys.stdlib_module_names))))\n"
+    )
+    src = str(Path(unext.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert set(run.stdout.split()) <= {"numpy", "unext"}, run.stdout

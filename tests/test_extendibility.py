@@ -8,7 +8,6 @@ from unext import linalg
 from unext.extendibility import (
     ExtensionProblem,
     VerdictStatus,
-    affine_project,
     certificate_defects,
     check_k_extendible,
     erasure_certificate,
@@ -88,7 +87,7 @@ def test_symmetrize_matches_full_average():
         full /= math.factorial(k)
         got = symmetrize(omega, d_a, d_b, k)
         assert np.max(np.abs(got - full)) < 1e-11, (d_a, d_b, k)
-        n_orbits = _index_maps(d_a, d_b, k).sizes.size
+        n_orbits = _index_maps(d_a, d_b, k)[1].size
         assert n_orbits == d_a**2 * math.comb(d_b**2 + k - 1, k), (d_a, d_b, k)
 
 
@@ -138,7 +137,9 @@ def test_schur_weyl_blocks_match_dense():
 
 def test_affine_project_from_zero():
     rho = max_entangled(2)
-    out = affine_project(np.zeros((8, 8), dtype=complex), rho, 2)
+    st = _stack(2, 2, 2)
+    zero = np.zeros(st.index.shape, dtype=complex)
+    out = _lift(_affine(zero, _rows(rho.matrix, 2), st)[0], 2, 2, 2)
     red = linalg.partial_trace(out, (2, 2, 2), keep=(0, 1))
     assert np.max(np.abs(red - rho.matrix)) < 1e-12
     assert symmetry_defect(out, 2, 2, 2) < 1e-12
@@ -155,14 +156,21 @@ def test_affine_project_idempotent_and_nearest():
     ]:
         d_a, d_b = rho.dims
         dim = d_a * d_b**k
+        st = _stack(d_a, d_b, k)
+
+        def affine_project(omega):
+            # the group average enters the blocks, the affine step runs on their entries
+            blocks = _compress(symmetrize(omega, d_a, d_b, k), d_a, d_b, k).reshape(-1)[st.index]
+            return _lift(_affine(blocks, _rows(rho.matrix, d_a), st)[0], d_a, d_b, k)
+
         m = random_hermitian(dim, 3)
-        proj = affine_project(m, rho, k)
+        proj = affine_project(m)
         red = linalg.partial_trace(proj, (d_a,) + (d_b,) * k, keep=(0, 1))
         assert np.max(np.abs(red - rho.matrix)) <= 1e-12, (rho.dims, k)
         assert symmetry_defect(proj, d_a, d_b, k) <= 1e-12, (rho.dims, k)
-        assert np.max(np.abs(affine_project(proj, rho, k) - proj)) < 1e-12, (rho.dims, k)
+        assert np.max(np.abs(affine_project(proj) - proj)) < 1e-12, (rho.dims, k)
         # orthogonality of the correction against directions inside the set
-        other = affine_project(random_hermitian(dim, 4), rho, k)
+        other = affine_project(random_hermitian(dim, 4))
         inner = np.trace((m - proj).conj().T @ (other - proj))
         assert abs(inner) < 1e-12, (rho.dims, k)
 
@@ -230,9 +238,12 @@ def test_certificate_is_lifted_from_the_kept_blocks():
     assert cert is verdict.certificate  # lifted once, on first read
     assert np.array_equal(cert, _lift(verdict.blocks, 2, 2, 3))
     assert max(certificate_defects(cert, rho, 3).values()) <= 1e-7
-    # a warm start from the certificate is at a solution already
-    again = check_k_extendible(ExtensionProblem(rho, 3), start=cert)
+    # a warm start from the kept blocks is at a solution already
+    again = check_k_extendible(ExtensionProblem(rho, 3), start=verdict.blocks)
     assert (again.status, again.iterations) == (VerdictStatus.FEASIBLE, 1)
+    # a start enters as block entries only, never as a full-space operator
+    with pytest.raises(ValueError):
+        check_k_extendible(ExtensionProblem(rho, 3), start=cert)
     for other in [
         check_k_extendible(ExtensionProblem(isotropic(0.95, 2), 2)),
         check_k_extendible(ExtensionProblem(isotropic(1.0, 2), 2)),
@@ -416,7 +427,9 @@ def test_face_reduced_solver_on_rank_deficient_inputs():
     # affine set, read off the blocks with the s_lambda weights (unequal at k = 4)
     phi = isotropic(1.0, 2)
     pure = check_k_extendible(ExtensionProblem(phi, 4))
-    nearest = affine_project(np.zeros((32, 32), dtype=complex), phi, 4)
+    st = _stack(2, 2, 4)
+    zero = np.zeros(st.index.shape, dtype=complex)
+    nearest = _lift(_affine(zero, _rows(phi.matrix, 2), st)[0], 2, 2, 4)
     assert abs(pure.residual - np.linalg.norm(nearest)) < 1e-12
 
 
