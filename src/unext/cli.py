@@ -171,9 +171,12 @@ def run_figure(
     return [one(n) for n in range(1, n_max + 1)]
 
 
-def _parse_prob(raw: str) -> float:
-    # accepts decimals and fractions like 3/4
-    return float(Fraction(raw))
+def _parse_fraction(raw: str) -> Fraction:
+    # accepts decimals and fractions like 3/4; a zero denominator is malformed input
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {raw!r}") from exc
 
 
 def _parse_k(raw: str) -> float:
@@ -233,15 +236,11 @@ def _cmd_figure(args, out: TextIO) -> int:
 
 
 def _cmd_np(args, out: TextIO) -> int:
+    p, t, eps = (_parse_fraction(raw) for raw in (args.p, args.t, args.eps))
     if args.engine == "exact":
-        beta, res = ht.np_divergence_exact(
-            Fraction(args.p), Fraction(args.t), args.n, Fraction(args.eps)
-        )
+        res = ht.np_divergence_exact(p, t, args.n, eps)[1]
     else:
-        res = ht.np_divergence(
-            ht.BinaryHypothesisPair(_parse_prob(args.p), _parse_prob(args.t), args.n),
-            _parse_prob(args.eps),
-        )
+        res = ht.np_divergence(ht.BinaryHypothesisPair(float(p), float(t), args.n), float(eps))
     d, d_vac = _json_rate(res.divergence)
     payload = {
         "D": d if not d_vac else None,

@@ -11,7 +11,8 @@ kept in loop order. Only the O(sqrt(n)) classes whose true mass lies within
 then certified against the dropped ones, falling back to the full class list
 when the certificate fails; past the O(n) numpy passes over the class masses
 and the dropped tails the cost grows as sqrt(n). An exact engine in integer
-arithmetic is provided for cross-validation, and a brute-force enumeration
+arithmetic, for cross-validation, steps the class masses one class at a time
+in fill order and stops at the boundary class; a brute-force enumeration
 oracle covers small n.
 
 The same sort-and-fill core also evaluates the divergence for commuting pairs
@@ -259,9 +260,15 @@ def np_divergence(hyp: BinaryHypothesisPair, eps: float) -> NPResult:
     The fill runs on the contiguous window of success counts whose true mass
     is at least 2^-80 eps (binomial masses are unimodal), and that answer is
     returned when _window_certified shows the dropped classes could not have
-    changed it; otherwise the same fill runs on all n + 1 classes.
+    changed it; otherwise the same fill runs on all n + 1 classes. Identical
+    hypotheses are one class of ratio 1, accepted with probability 1 - eps.
     """
     n = hyp.n
+    if hyp.p_success == hyp.t_success:
+        if not 0.0 <= eps < 1.0:
+            raise ValueError(f"eps {eps} outside [0, 1)")
+        weight = n if hyp.p_success == 1.0 else 0
+        return NPResult(math.log2(1.0 - eps), weight, 1.0 - eps, float(eps))
     log2_p, log2_q = _binomial_log2_masses(n, (hyp.p_success, hyp.t_success))
     lo, hi = 0, n + 1
     if 0.0 < eps < 1.0 and 1.0 - eps != 1.0:
@@ -371,18 +378,26 @@ def log2_fraction(fr: Fraction) -> float:
     return _log2_int(fr.numerator) - _log2_int(fr.denominator)
 
 
-def _binomial_numerators(n: int, num: int, den: int) -> list[int]:
-    """C(n, w) num^w (den - num)^(n - w) for w = 0..n: Binomial(n, num/den) masses times den^n."""
-    tail = [1] * (n + 1)  # (den - num)^(n - w)
-    for w in range(n - 1, -1, -1):
-        tail[w] = tail[w + 1] * (den - num)
-    out = []
-    comb, head = 1, 1  # C(n, w) and num^w
-    for w in range(n + 1):
-        out.append(comb * head * tail[w])
-        comb = comb * (n - w) // (w + 1)
-        head *= num
-    return out
+def _stepped_classes(n: int, p_success: Fraction, t_success: Fraction):
+    """(true, alternative numerator, w) for 0 < p, t < 1, p != t, in fill order.
+
+    The numerators are C(n, w) a^w (d - a)^(n - w) for p = a/d and the same
+    in b/e for t. The fill starts at w = n when p > t; p < t is that case on
+    failure counts, 1 - p and 1 - t over the same denominators. Each next
+    numerator is one exact small-integer step m (w (d - a)) // ((n - w + 1) a),
+    linear in its size, and nothing is built past the class the fill stops at.
+    """
+    flip = p_success < t_success
+    if flip:
+        p_success, t_success = 1 - p_success, 1 - t_success
+    a, d = p_success.numerator, p_success.denominator
+    b, e = t_success.numerator, t_success.denominator
+    pm, qm = a**n, b**n
+    for w in range(n, 0, -1):
+        yield pm, qm, n - w if flip else w
+        pm = pm * (w * (d - a)) // ((n - w + 1) * a)
+        qm = qm * (w * (e - b)) // ((n - w + 1) * b)
+    yield pm, qm, n if flip else 0
 
 
 def np_divergence_exact(
@@ -398,12 +413,14 @@ def np_divergence_exact(
     log-domain engine.
 
     The class masses are integers over the common denominators d^n and e^n of
-    the two hypotheses, so the fill needs no gcds. The likelihood ratio is
-    strictly monotone in the success count w when 0 < p, t < 1 and p != t,
-    so classes are ordered by w; when p = t every class has ratio 1, and when
-    p or t is 0 or 1 at most one class has both masses nonzero, so one key,
-    (alternative mass is 0, signed w), orders and merges classes exactly as
-    their ratios do.
+    the two hypotheses, so the fill needs no gcds. When 0 < p, t < 1 and
+    p != t the ratio is strictly monotone in w and _stepped_classes walks the
+    classes in fill order, so only the accepted classes and the boundary are
+    built and at most a few big integers are live. Other inputs are short
+    lists in fill order: p = t is one class of ratio 1, p in {0, 1} has one
+    class of nonzero true mass, and t in {0, 1} puts the merged classes of
+    infinite ratio before the class w = n t. A merged class is named by its
+    smallest w.
     """
     p_success = Fraction(p_success)
     t_success = Fraction(t_success)
@@ -415,56 +432,36 @@ def np_divergence_exact(
     if n < 1:
         raise ValueError("copy count must be >= 1")
 
-    p_num = _binomial_numerators(n, p_success.numerator, p_success.denominator)
-    q_num = _binomial_numerators(n, t_success.numerator, t_success.denominator)
-    p_den = p_success.denominator**n
-    q_den = t_success.denominator**n
-    sign = (p_success > t_success) - (p_success < t_success)
-
-    # key -> [true numerator, alternative numerator, smallest w]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for w, (pm, qm) in enumerate(zip(p_num, q_num)):
-        if pm == 0:
-            continue
-        key = (1, 0) if qm == 0 else (0, sign * w)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [pm, qm, w]
-        else:
-            group[0] += pm
-            group[1] += qm
-    merged = [groups[key] for key in sorted(groups, reverse=True)]
+    a, d = p_success.numerator, p_success.denominator
+    b, e = t_success.numerator, t_success.denominator
+    p_den, q_den = d**n, e**n
+    if p_success == t_success:
+        classes = [(p_den, q_den, n if p_success == 1 else 0)]
+    elif p_success in (0, 1):
+        classes = [(1, b**n if p_success == 1 else (e - b) ** n, n * a)]
+    elif t_success in (0, 1):
+        pm = a**n if t_success == 1 else (d - a) ** n
+        classes = [(p_den - pm, 0, 1 - b), (pm, 1, n * b)]
+    else:
+        classes = _stepped_classes(n, p_success, t_success)
 
     # with eps = f/g, the true mass still to accept, 1 - eps - accepted, is remaining/(g p_den)
     f, g = eps.numerator, eps.denominator
     remaining = (g - f) * p_den
-    # beta = beta_num / beta_den; int / int below is correctly rounded, as float(Fraction) is
-    beta_num, beta_den = 0, q_den
-    gamma = 1.0
-    boundary_weight = merged[0][2]
-    for pm, qm, wmin in merged:
-        if remaining <= 0:
+    beta_num = 0
+    # the first class whose mass meets the budget is the boundary, accepted
+    # with probability gamma (1 when it fits exactly); the masses sum to
+    # p_den, so the last class always meets it
+    for pm, qm, w in classes:
+        gpm = g * pm
+        if gpm >= remaining:
             break
-        boundary_weight = wmin
-        if g * pm <= remaining:
-            beta_num += qm
-            remaining -= g * pm
-        else:
-            gamma = remaining / (g * pm)
-            beta_num = beta_num * g * pm + remaining * qm
-            beta_den *= g * pm
-            remaining = 0
-            break
-    beta = Fraction(beta_num, beta_den)
-
+        beta_num += qm
+        remaining -= gpm
+    beta = Fraction(beta_num * gpm + remaining * qm, q_den * gpm)
     log2_beta = NEG_INF if beta == 0 else min(0.0, log2_fraction(beta))
-    result = NPResult(
-        log2_beta=log2_beta,
-        threshold_weight=boundary_weight,
-        gamma=gamma,
-        achieved_type1=(f * p_den + remaining) / (g * p_den),
-    )
-    return beta, result
+    # int / int is correctly rounded, as float(Fraction) is
+    return beta, NPResult(log2_beta, w, gamma=remaining / gpm, achieved_type1=float(eps))
 
 
 # --- commuting-state reductions ---

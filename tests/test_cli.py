@@ -41,6 +41,15 @@ def test_np_engines_agree(capsys):
     assert abs(d_log - d_exact) < 1e-9
 
 
+@pytest.mark.parametrize("engine", ["log", "exact"])
+def test_np_zero_denominator_exits_one(capsys, engine):
+    for flag in ("--p", "--t", "--eps"):
+        argv = {"--p": "1/2", "--t": "1/3", "--eps": "1/20", flag: "1/0"}
+        code, out, err = run_cli(capsys, "np", *sum(argv.items(), ()), "--n", "5", "--engine", engine)
+        assert code == 1, (flag, err)
+        assert out == "" and "zero denominator" in err
+
+
 def test_beta_one_prints_positive_zero(capsys):
     # beta = 1 gives D = 0.0; printing -log2(beta) wrote -0.0
     code, out, _ = run_cli(capsys, "np", "--p", "0.3", "--t", "0.7", "--eps", "0", "--n", "4")

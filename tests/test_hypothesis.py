@@ -24,11 +24,15 @@ NEG_INF = float("-inf")
 
 
 def test_identical_hypotheses_closed_form():
-    for p in (0.0, 0.3, 0.5, 0.95, 1.0):
-        for n in (1, 4, 9):
-            for eps in (0.0, 0.05, 0.3):
-                res = np_divergence(BinaryHypothesisPair(p, p, n), eps)
+    for p in (Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(19, 20), Fraction(1)):
+        for n in (1, 4, 9, 1000):
+            for eps in (0.0, 1e-300, 1e-12, 0.05, 0.3, 0.9):
+                res = np_divergence(BinaryHypothesisPair(float(p), float(p), n), eps)
                 assert abs(res.divergence - math.log2(1.0 / (1.0 - eps))) < 1e-12
+                _, want = np_divergence_exact(p, p, n, Fraction(eps))
+                assert abs(res.log2_beta - want.log2_beta) <= 1e-12, (p, n, eps)
+                fields = (res.threshold_weight, res.gamma, res.achieved_type1)
+                assert fields == (want.threshold_weight, want.gamma, want.achieved_type1)
 
 
 def test_point_mass_true_hypothesis():
@@ -139,6 +143,49 @@ def test_exact_engine_degenerate_inputs_match_oracle():
                     assert res.achieved_type1 <= float(eps) + 1e-15
 
 
+def _reference_exact(p, t, n, eps):
+    """The exact optimum from first principles: Fraction masses, classes by ratio, the fill.
+
+    Returns beta and the NPResult fields np_divergence_exact must equal.
+    """
+    classes = {}  # ratio -> [true mass, alternative mass, smallest w]
+    for w in range(n + 1):
+        pm = math.comb(n, w) * p**w * (1 - p) ** (n - w)
+        qm = math.comb(n, w) * t**w * (1 - t) ** (n - w)
+        if pm:
+            merged = classes.setdefault(pm / qm if qm else math.inf, [0, 0, w])
+            merged[0] += pm
+            merged[1] += qm
+    remaining, beta, gamma = 1 - eps, Fraction(0), 1.0
+    for ratio in sorted(classes, reverse=True):
+        pm, qm, weight = classes[ratio]
+        if pm > remaining:
+            gamma = float(remaining / pm)
+            beta += remaining / pm * qm
+            remaining = 0
+            break
+        beta += qm
+        remaining -= pm
+        if remaining == 0:
+            break
+    return beta, weight, gamma, float(eps + remaining)
+
+
+def test_exact_engine_matches_the_reference_bit_for_bit():
+    # p < t, p > t, point masses, p = t and eps = 0, denominators 2 to 1000
+    rng = np.random.default_rng(22)
+    probs = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(17, 20)]
+    probs += [Fraction(1, 1000), Fraction(999, 1000)]
+    probs += [Fraction(int(rng.integers(1, d)), d) for d in rng.integers(2, 1001, size=4).tolist()]
+    epss = [Fraction(0), Fraction(1, 20), Fraction(1, 3), Fraction(997, 1000), Fraction(1, 10**30)]
+    cases = [(p, t, n, eps) for p in probs for t in probs for eps in epss for n in (1, 2, 7, 40)]
+    cases += [(p, t, 200, eps) for p in probs[:6] for t in probs[:6] for eps in epss[:3]]
+    for p, t, n, eps in cases:
+        beta, res = np_divergence_exact(p, t, n, eps)
+        fields = (res.threshold_weight, res.gamma, res.achieved_type1)
+        assert (beta, *fields) == _reference_exact(p, t, n, eps), (p, t, n, eps)
+
+
 def test_engines_return_python_floats():
     log_res = np_divergence(BinaryHypothesisPair(0.85, 0.6, 3000), 0.05)
     _, exact_res = np_divergence_exact(Fraction(17, 20), Fraction(3, 5), 300, Fraction(1, 20))
@@ -162,7 +209,8 @@ def _bits(res):
 
 def test_window_matches_full_class_list_bit_for_bit(monkeypatch):
     # the windowed fill, when certified, must return exactly what the fill on
-    # all n + 1 classes returns; the fallback returns it by construction
+    # all n + 1 classes returns; the fallback returns it by construction.
+    # Identical hypotheses take the closed form, checked against the exact engine
     certified = []
     window_certified = ht._window_certified
 
@@ -171,7 +219,7 @@ def test_window_matches_full_class_list_bit_for_bit(monkeypatch):
         return certified[-1]
 
     monkeypatch.setattr(ht, "_window_certified", spy)
-    cases = [(p, t, n, eps) for p, t in PAIRS for eps in EPSS for n in (1, 9, 120, 1000)]
+    cases = [(p, t, n, eps) for p, t in PAIRS if p != t for eps in EPSS for n in (1, 9, 120, 1000)]
     cases += [(0.85, 0.6, 20000, 0.05), (0.01, 0.99, 20000, 0.3), (0.3, 0.3 + 1e-7, 20000, 0.9)]
     for p, t, n, eps in cases:
         got = np_divergence(BinaryHypothesisPair(p, t, n), eps)
