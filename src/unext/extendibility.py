@@ -26,7 +26,9 @@ one zero-padded stack for the PSD step, one batched eigendecomposition; the
 affine step is a gather and two products with precomputed maps, and the
 extrapolation works on the same entries. Padding is exact: the PSD projection
 of X (+) 0 is psd(X) (+) 0, and the affine maps never read or write it. The maps are built
-once per (d_A, d_B, k) and cached. For a rank-deficient state the PSD step
+once per (d_A, d_B, k) and cached, and they are real: a real rho (every named state) is
+iterated, and its certificate kept, in real arithmetic, while a complex rho or warm start
+makes the iterates complex. For a rank-deficient state the PSD step
 runs on the face every extension lives on (facial reduction), found
 directly in the same blocks, which spares such states the thousands of
 iterations the degenerate directions cost.
@@ -55,7 +57,7 @@ from .linalg import hermitize, kron, partial_trace
 from .states import DensityMatrix, isotropic, max_entangled, erasure_family
 
 MAX_EXTENSION_DIM = 4096
-_ANDERSON_DEPTH = 3  # differences kept by the solver's Anderson extrapolation
+_ANDERSON_DEPTH = 3  # differences kept by the solver's Anderson extrapolation; _gram_solve is 3 x 3
 _GRAM_REG = 1e-10  # Tikhonov term of the extrapolation's normal equations, relative to their trace
 
 
@@ -123,15 +125,6 @@ def _conj_indices(d_a: int, d_b: int, k: int, perm: tuple[int, ...]) -> np.ndarr
     """Index array src with W omega W^dagger == omega[ix_(src, src)] for the lifted permutation."""
     block = d_b**k
     return (np.arange(d_a)[:, None] * block + _b_gather(d_b, k, perm)[None, :]).reshape(-1)
-
-
-def _generator_perms(k: int) -> list[tuple[int, ...]]:
-    gens = []
-    for i in range(k - 1):
-        p = list(range(k))
-        p[i], p[i + 1] = p[i + 1], p[i]
-        gens.append(tuple(p))
-    return gens
 
 
 @lru_cache(maxsize=None)
@@ -320,16 +313,15 @@ def _stack(d_a: int, d_b: int, k: int) -> _Stack:
     weight = np.repeat(np.array(mults, dtype=float), [m * m for m in dims])
     red = np.hstack(reds)
     corr = np.linalg.solve((red / weight) @ red.T, red) / weight
-    # complex copies spare each matmul with a complex operand a dtype cast
     return _Stack(
         shape=(len(dims), big, big),
         index=np.hstack(index),
         grid=np.concatenate(grid),
         weight=weight,
         basis=np.hstack(bases),
-        red=red.T + 0j,
-        corr=corr + 0j,
-        metric=(corr * weight) @ corr.T + 0j,
+        red=red.T,
+        corr=corr,
+        metric=(corr * weight) @ corr.T,
     )
 
 
@@ -338,7 +330,7 @@ def _compress(omega: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
     st = _stack(d_a, d_b, k)
     n = d_b**k
     w4 = _rows(omega, d_a).reshape(d_a, d_a, n, n)
-    out = np.zeros(st.shape, dtype=complex)
+    out = np.zeros(st.shape, dtype=omega.dtype)
     out.reshape(-1)[st.index] = (st.basis.T @ w4 @ st.basis).reshape(d_a * d_a, -1)[:, st.grid]
     return out
 
@@ -351,7 +343,7 @@ def _lift(rows: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
     """
     st = _stack(d_a, d_b, k)
     m = st.basis.shape[1]
-    grid = np.zeros((d_a * d_a, m * m), dtype=complex)
+    grid = np.zeros((d_a * d_a, m * m), dtype=rows.dtype)
     grid[:, st.grid] = rows * st.weight
     full = st.basis @ grid.reshape(d_a, d_a, m, m) @ st.basis.T
     return symmetrize(_from_rows(full.reshape(d_a * d_a, -1), d_a), d_a, d_b, k)
@@ -366,8 +358,8 @@ def _affine(rows: np.ndarray, target: np.ndarray, st: _Stack) -> tuple[np.ndarra
     return rows + resid @ st.corr, resid
 
 
-def _face(rho: DensityMatrix, k: int, cutoff: float, st: _Stack) -> Optional[np.ndarray]:
-    """Blocks of the face every k-extension lives on; None when rho has full rank.
+def _face(rho: np.ndarray, d_a: int, cutoff: float, st: _Stack) -> Optional[np.ndarray]:
+    """Blocks of the face every k-extension of the matrix rho lives on; None at full rank.
 
     An extension w reduces to rho on every pair (A, B_i), so w (v (x) I) = 0
     for each v in ker rho placed on (A, B_i): the range of w lies in
@@ -377,14 +369,13 @@ def _face(rho: DensityMatrix, k: int, cutoff: float, st: _Stack) -> Optional[np.
     average of Q_1 and so has the blocks W^-1 R^T q, q = _rows(supp rho):
     R^T q holds s_lambda times the blocks of the average of q (x) I. Returns
     the padded stack F of each block's face basis, columns outside the face
-    zeroed.
+    zeroed, in the dtype of rho.
     """
-    d_a, _ = rho.dims
-    w, u = np.linalg.eigh(rho.matrix)
+    w, u = np.linalg.eigh(rho)
     if w[0] > cutoff:
         return None
     support = u[:, w > cutoff]
-    mean = np.zeros(st.shape, dtype=complex)
+    mean = np.zeros(st.shape, dtype=u.dtype)
     mean.reshape(-1)[st.index] = _rows(support @ support.conj().T, d_a) @ st.red.T / st.weight
     e, v = np.linalg.eigh(mean)
     inside = e > 1.0 - 1e-9
@@ -400,26 +391,49 @@ def symmetrize(omega: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
     element is reached by |stabiliser| of the k! permutations, so the k!-term
     average and the orbit mean are the same linear map. The orbit labels come
     from _index_maps, built once per (d_a, d_b, k); a call is two bincounts
-    and a gather, whatever k is.
+    (one for a real omega, which stays real) and a gather, whatever k is.
     """
     dim = d_a * d_b**k
-    omega = np.asarray(omega, dtype=complex)
+    omega = np.asarray(omega)
     if omega.shape != (dim, dim):
         raise ValueError(f"omega shape {omega.shape} does not match dims ({d_a}, {d_b}^{k})")
     labels, sizes = _index_maps(d_a, d_b, k)
     flat = omega.reshape(-1)
     n = sizes.size
-    sums = np.bincount(labels, flat.real, n) + 1j * np.bincount(labels, flat.imag, n)
+    sums = np.bincount(labels, flat.real, n)
+    if np.iscomplexobj(flat):
+        sums = sums + 1j * np.bincount(labels, flat.imag, n)
     return (sums / sizes)[labels].reshape(dim, dim)
 
 
 def symmetry_defect(omega: np.ndarray, d_a: int, d_b: int, k: int) -> float:
     """Max-entry deviation of omega from invariance under the B-factor transpositions."""
     defect = 0.0
-    for g in _generator_perms(k):
-        src = _conj_indices(d_a, d_b, k, g)
+    for i in range(k - 1):  # the adjacent transpositions generate S_k
+        src = _conj_indices(d_a, d_b, k, tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, k)))
         defect = max(defect, float(np.max(np.abs(omega[np.ix_(src, src)] - omega))))
     return defect
+
+
+def _gram_solve(gram: np.ndarray, rhs: np.ndarray, m: int) -> np.ndarray:
+    """gamma with (G + _GRAM_REG tr(G) I) gamma = rhs on the leading m x m block of a 3 x 3 G.
+
+    G and rhs are zero past m, where unit pivots keep gamma 0. Elimination needs no pivoting
+    on a positive definite system, and on Python floats it costs less than a numpy call.
+    """
+    (a, b, c), (_, d, e), (_, _, f) = gram.tolist()
+    shift = _GRAM_REG * (a + d + f)
+    a, d, f = a + shift, d + (shift if m > 1 else 1.0), f + (shift if m > 2 else 1.0)
+    l1, l2 = b / a, c / a
+    d, e = d - l1 * b, e - l1 * c
+    l3 = e / d
+    f -= l2 * c + l3 * e
+    r0, r1, r2 = rhs.tolist()
+    r1 -= l1 * r0
+    r2 -= l2 * r0 + l3 * r1
+    x2 = r2 / f
+    x1 = (r1 - e * x2) / d
+    return np.array([(r0 - b * x1 - c * x2) / a, x1, x2])
 
 
 class _Anderson:
@@ -437,14 +451,15 @@ class _Anderson:
     the trace of the Gram matrix, so a degenerate history (nearly parallel
     differences) drops out of the extrapolation instead of blowing it up, and
     an all-zero one (at a fixed point) gives the plain step tx. The Gram
-    matrix is updated one row per step on the real views of the block entries.
+    matrix is updated one row per step on the real views of the block entries;
+    rows not yet written are zero.
     """
 
     def __init__(self, x: np.ndarray, weight: np.ndarray):
-        # weight of each real and imaginary part of the flattened entries
-        self.weight = np.repeat(np.tile(weight, x.size // weight.size), 2)
-        self.d_t = np.zeros((_ANDERSON_DEPTH,) + x.shape, dtype=complex)
-        self.d_g = np.zeros((_ANDERSON_DEPTH, 2 * x.size))
+        parts = 2 if np.iscomplexobj(x) else 1  # real components of an entry, each weighted
+        self.weight = np.repeat(np.tile(weight, x.size // weight.size), parts)
+        self.d_t = np.zeros((_ANDERSON_DEPTH,) + x.shape, dtype=x.dtype)
+        self.d_g = np.zeros((_ANDERSON_DEPTH, parts * x.size))
         self.w_d_g = np.zeros_like(self.d_g)
         self.gram = np.zeros((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
         self.steps = 0
@@ -461,13 +476,10 @@ class _Anderson:
             self.gram[j] = self.gram[:, j] = self.d_g @ self.w_d_g[j]
             self.steps += 1
         self.last = (tx, g)
-        m = min(self.steps, _ANDERSON_DEPTH)
-        gram = self.gram[:m, :m]
-        trace = gram.trace()
-        if trace == 0.0:
+        if self.gram.trace() == 0.0:
             return tx
-        gamma = np.linalg.solve(gram + _GRAM_REG * trace * np.eye(m), self.w_d_g[:m] @ g)
-        return tx - (gamma @ self.d_t[:m].reshape(m, -1)).reshape(tx.shape)
+        gamma = _gram_solve(self.gram, self.w_d_g @ g, min(self.steps, _ANDERSON_DEPTH))
+        return tx - (gamma @ self.d_t.reshape(_ANDERSON_DEPTH, -1)).reshape(tx.shape)
 
 
 def check_k_extendible(
@@ -517,13 +529,14 @@ def check_k_extendible(
     d_a, d_b = rho.dims
     k = prob.k
     st = _stack(d_a, d_b, k)
-    target = _rows(rho.matrix, d_a)
+    matrix = rho.matrix if rho.matrix.imag.any() else rho.matrix.real
+    target = _rows(matrix, d_a)
     if start is None:
         start = np.zeros_like(target, shape=st.index.shape)
     elif np.shape(start) != st.index.shape:
         raise ValueError(f"start must be block entries of shape {st.index.shape}")
     x = _affine(start, target, st)[0]
-    f = _face(rho, k, 1e-3 * prob.tol, st)
+    f = _face(matrix, d_a, 1e-3 * prob.tol, st)
     if f is None:
         face_dim = d_a * d_b**k
     else:
@@ -534,7 +547,7 @@ def check_k_extendible(
     if face_dim == 0:
         residual = math.sqrt(float(np.sum(st.weight * np.abs(x) ** 2)))
         return ExtendibilityVerdict(VerdictStatus.INFEASIBLE_SIGNAL, residual, 0, 0, dims)
-    z = np.zeros(st.shape, dtype=complex)
+    z = np.zeros(st.shape, dtype=x.dtype)
     best = float("inf")
     window: deque[float] = deque(maxlen=200)
     anderson = _Anderson(x, st.weight)
@@ -615,12 +628,9 @@ def erasure_certificate(k: int) -> np.ndarray:
         raise ValueError("extension order must be >= 2")
     if 2 * 3**k > MAX_EXTENSION_DIM:
         raise ValueError(f"certificate dimension {2 * 3 ** k} exceeds {MAX_EXTENSION_DIM}")
-    phi_emb = erasure_family(0.0).matrix  # entangled pair on dims (2, 3)
-    flag = np.zeros((3, 3), dtype=complex)
-    flag[2, 2] = 1.0
-    flags = np.eye(1, dtype=complex)
-    for _ in range(k - 1):
-        flags = kron(flags, flag)
+    phi_emb = erasure_family(0.0).matrix.real  # entangled pair on dims (2, 3)
+    flags = np.zeros((3 ** (k - 1),) * 2)
+    flags[-1, -1] = 1.0  # the erasure flag |2><2| on each of B_2..B_k
     base = kron(phi_emb, flags)  # pair on (A, B_1), flags elsewhere
     # base is invariant under permutations of B_2..B_k, so its group average
     # is the mean over the k placements of the pair

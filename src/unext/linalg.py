@@ -1,4 +1,4 @@
-# Dense complex Hermitian linear algebra used by every other module.
+# Dense Hermitian linear algebra used by every other module; real inputs stay real.
 
 from __future__ import annotations
 
@@ -15,14 +15,13 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (m + m^dagger) / 2."""
-    m = np.asarray(m, dtype=complex)
-    return (m + m.conj().T) / 2
+    """Return the Hermitian part (m + m^dagger) / 2; a real m stays real."""
+    return (m + np.conj(m).T) / 2
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product; dimensions multiply and the inputs' dtype is kept."""
+    return np.kron(a, b)
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -35,7 +34,7 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     if any(d < 1 for d in dims):
         raise ValueError("subsystem dimensions must be >= 1")
     n = int(np.prod(dims))
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     if m.shape != (n, n):
         raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
     keep_set = sorted(set(int(i) for i in keep))
@@ -88,7 +87,8 @@ def psd_project(h: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     if w.size == 0 or w[..., 0].min() >= 0.0:
         return h
-    return (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    np.maximum(w, 0.0, out=w)
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 # --- JSON serialization (consumed by the CLI `check` subcommand) ---

@@ -16,10 +16,12 @@ from unext.extendibility import (
     threshold_bisect,
     twirl_uu,
     _Anderson,
+    _GRAM_REG,
     _affine,
     _compress,
     _conj_indices,
     _face,
+    _gram_solve,
     _index_maps,
     _lift,
     _rows,
@@ -36,6 +38,21 @@ from unext.states import (
     max_entangled,
     parse_state_spec,
 )
+
+
+# the benchmark's extend classes as specs, at t*(k) -/+ 0.04 (erased family:
+# 1 - 1/k + 0.04), with the iteration counts of the Anderson-accelerated loop
+# as ceilings: a change to the solver may only lower them
+ITERATION_CASES = [
+    ("isotropic:0.71:2", 2, VerdictStatus.FEASIBLE, 3),
+    ("isotropic:0.79:2", 2, VerdictStatus.INFEASIBLE_SIGNAL, 209),
+    ("isotropic:0.626667:2", 3, VerdictStatus.FEASIBLE, 11),
+    ("isotropic:0.706667:2", 3, VerdictStatus.INFEASIBLE_SIGNAL, 256),
+    ("isotropic:0.585:2", 4, VerdictStatus.FEASIBLE, 13),
+    ("isotropic:0.626667:3", 2, VerdictStatus.FEASIBLE, 3),
+    ("isotropic:0.706667:3", 2, VerdictStatus.INFEASIBLE_SIGNAL, 228),
+    ("erasure:0.54", 2, VerdictStatus.FEASIBLE, 4),
+]
 
 
 def random_hermitian(n, seed):
@@ -195,23 +212,55 @@ def test_feasible_cases_and_certificates():
 
 
 def test_iteration_counts_do_not_rise():
-    # the benchmark's extend classes as specs, at t*(k) -/+ 0.04 (erased
-    # family: 1 - 1/k + 0.04), with the iteration counts of the Anderson-
-    # accelerated loop as ceilings: a change to the solver may only lower them
-    cases = [
-        ("isotropic:0.71:2", 2, VerdictStatus.FEASIBLE, 3),
-        ("isotropic:0.79:2", 2, VerdictStatus.INFEASIBLE_SIGNAL, 209),
-        ("isotropic:0.626667:2", 3, VerdictStatus.FEASIBLE, 11),
-        ("isotropic:0.706667:2", 3, VerdictStatus.INFEASIBLE_SIGNAL, 256),
-        ("isotropic:0.585:2", 4, VerdictStatus.FEASIBLE, 13),
-        ("isotropic:0.626667:3", 2, VerdictStatus.FEASIBLE, 3),
-        ("isotropic:0.706667:3", 2, VerdictStatus.INFEASIBLE_SIGNAL, 228),
-        ("erasure:0.54", 2, VerdictStatus.FEASIBLE, 4),
-    ]
-    for spec, k, status, ceiling in cases:
+    for spec, k, status, ceiling in ITERATION_CASES:
         verdict = check_k_extendible(ExtensionProblem(parse_state_spec(spec), k))
         assert verdict.status is status, (spec, k)
         assert verdict.iterations <= ceiling, (spec, k, verdict.iterations)
+
+
+def rotated(rho):
+    """rho under the local unitary diag(1, e^0.3i) on A and on B: complex, with the same verdicts."""
+    u = np.kron(*(np.diag(np.exp(0.3j * (np.arange(d) == 1))) for d in rho.dims))
+    return DensityMatrix(u @ rho.matrix @ u.conj().T, rho.dims)
+
+
+def test_real_states_iterate_in_real_arithmetic():
+    # a local unitary changes neither extendibility nor the solver's path, so
+    # the real and the complex iteration reach the same verdict in the same step
+    for spec, k, status, _ in ITERATION_CASES:
+        rho = parse_state_spec(spec)
+        real = check_k_extendible(ExtensionProblem(rho, k))
+        cplx = check_k_extendible(ExtensionProblem(rotated(rho), k))
+        assert (real.status, real.iterations) == (cplx.status, cplx.iterations), (spec, k)
+        if status is not VerdictStatus.FEASIBLE:
+            continue
+        assert (real.blocks.dtype, cplx.blocks.dtype) == (np.float64, np.complex128), spec
+        assert real.certificate.dtype == np.float64, spec
+        for verdict, state in ((real, rho), (cplx, rotated(rho))):
+            defects = certificate_defects(verdict.certificate, state, k)
+            assert max(defects.values()) <= 1e-7, (spec, k, defects)
+
+
+def test_warm_starts_promote_across_dtypes():
+    # a complex start on a real rho, or real blocks on a complex one, iterate
+    # in complex arithmetic and keep the imaginary part (a ComplexWarning
+    # from a dropped one fails the suite)
+    rho = isotropic(0.60, 2)
+    real = check_k_extendible(ExtensionProblem(rho, 3)).blocks
+    cplx = check_k_extendible(ExtensionProblem(rotated(rho), 3)).blocks
+    for state, start in ((rho, cplx), (rotated(rho), real)):
+        verdict = check_k_extendible(ExtensionProblem(state, 3), start=start)
+        assert verdict.status is VerdictStatus.FEASIBLE
+        assert verdict.blocks.dtype == np.complex128 and np.any(verdict.blocks.imag)
+        assert max(certificate_defects(verdict.certificate, state, 3).values()) <= 1e-7
+    # through threshold_bisect, with the warm starts crossing at the first midpoint
+    t_star = threshold_bisect(lambda t: isotropic(t, 2), 2, 0.55, 0.92)
+    for rotate_lo in (True, False):
+
+        def family(t, rotate_lo=rotate_lo):
+            return rotated(isotropic(t, 2)) if (t == 0.55) == rotate_lo else isotropic(t, 2)
+
+        assert threshold_bisect(family, 2, 0.55, 0.92) == t_star, rotate_lo
 
 
 @pytest.mark.parametrize("k", range(6, 11))
@@ -251,6 +300,33 @@ def test_certificate_is_lifted_from_the_kept_blocks():
     ]:
         assert other.status is not VerdictStatus.FEASIBLE
         assert other.blocks is None and other.certificate is None
+
+
+def test_gram_solve_matches_the_regularized_normal_equations():
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 3):
+        for near_singular in (False, True):
+            for _ in range(200):
+                d_g = rng.normal(size=(m, 40))
+                if near_singular:
+                    # nearly parallel differences, up to the condition 1e10 the Tikhonov term allows
+                    d_g = d_g[:1] * rng.normal(size=(m, 1)) + 10.0 ** rng.uniform(-12, -3) * d_g
+                gram, rhs = np.zeros((3, 3)), np.zeros(3)
+                gram[:m, :m], rhs[:m] = d_g @ d_g.T, d_g @ rng.normal(size=40)
+                a = gram[:m, :m] + _GRAM_REG * np.trace(gram) * np.eye(m)
+                ref = np.linalg.solve(a, rhs[:m])
+                got = _gram_solve(gram, rhs, m)
+                assert not np.any(got[m:]), m
+                got = got[:m]
+                # two backward-stable solves part by up to about cond(a) eps:
+                # 1e-12 apart where a is well conditioned
+                cond = np.linalg.cond(a)
+                gap = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+                assert gap <= max(1e-12, 1e-15 * cond), (m, cond, gap)
+                backward = np.linalg.norm(a @ got - rhs[:m]) / (
+                    np.linalg.norm(a, 2) * np.linalg.norm(got) + np.linalg.norm(rhs[:m])
+                )
+                assert backward <= 1e-15, (m, backward)
 
 
 def test_anderson_step_on_a_degenerate_history():
@@ -361,7 +437,7 @@ def test_face_of_erased_family_holds_its_certificates():
     ]
     for rho, k, face_dim, cert in cases:
         d_a, d_b = rho.dims
-        f = _face(rho, k, 1e-10, _stack(d_a, d_b, k))
+        f = _face(rho.matrix, d_a, 1e-10, _stack(d_a, d_b, k))
         ffh = f @ f.conj().transpose(0, 2, 1)
         dense = _dense_face_projector(rho, k)
         assert round(np.trace(dense).real) == face_dim, k
@@ -373,9 +449,9 @@ def test_face_of_erased_family_holds_its_certificates():
             blocks = _compress(cert, d_a, d_b, k)
             assert np.max(np.abs(ffh @ blocks @ ffh - blocks)) <= 1e-12, k
     # a pure entangled state has an empty face, and a full-rank one no face
-    assert not np.any(_face(isotropic(1.0, 2), 2, 1e-10, _stack(2, 2, 2)))
+    assert not np.any(_face(isotropic(1.0, 2).matrix, 2, 1e-10, _stack(2, 2, 2)))
     assert not np.any(_dense_face_projector(isotropic(1.0, 2), 2))
-    assert _face(isotropic(0.7, 2), 2, 1e-10, _stack(2, 2, 2)) is None
+    assert _face(isotropic(0.7, 2).matrix, 2, 1e-10, _stack(2, 2, 2)) is None
     # at k = 9 (dimension 1024) the face is found in the blocks alone
     e01 = np.zeros((4, 4), dtype=complex)
     e01[1, 1] = 1.0
@@ -456,6 +532,7 @@ def test_threshold_bisect_rejects_bad_bracket():
 def test_erasure_certificate_small_orders():
     for k in (2, 3):
         cert = erasure_certificate(k)
+        assert cert.dtype == np.float64, k
         target = erasure_family(1.0 - 1.0 / k)
         defects = certificate_defects(cert, target, k)
         assert max(defects.values()) < 1e-12, (k, defects)

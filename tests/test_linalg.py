@@ -17,6 +17,8 @@ def test_kron_identities():
     assert np.allclose(linalg.kron(I2, I2), np.eye(4))
     got = linalg.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     assert np.allclose(got, np.diag([0.0, 1.0, 0.0, 0.0]))
+    # the inputs' dtype is kept: real factors give a real product
+    assert got.dtype == np.float64 and linalg.kron(I2, X).dtype == np.complex128
 
 
 def test_kron_xx_swaps_00_to_11():
@@ -117,6 +119,11 @@ def test_psd_project_is_frobenius_nearest():
         a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         psd = a @ a.conj().T
         assert best <= np.linalg.norm(h - psd) + 1e-12
+    # a real symmetric matrix is projected in real arithmetic, onto the same point
+    sym = h.real
+    proj = linalg.psd_project(sym)
+    assert proj.dtype == np.float64
+    assert np.max(np.abs(proj - linalg.psd_project(sym + 0j))) <= 1e-12
 
 
 def test_psd_project_empty_matrix():
