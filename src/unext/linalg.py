@@ -16,7 +16,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (m + m^dagger) / 2; a real m stays real."""
-    return (m + np.conj(m).T) / 2
+    return (m + np.asarray(m).conj().T) / 2
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
