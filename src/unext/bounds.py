@@ -253,6 +253,13 @@ def optimize_k(channel: ChannelSpec, n: int, eps: float, k_max: int = 1024) -> B
     the limiting curve as the final candidate. Ties go to the smallest order.
     When every candidate is vacuous the limiting result (+inf) is returned.
     """
+    return _optimize_with_limit(channel, n, eps, k_max)[0]
+
+
+def _optimize_with_limit(
+    channel: ChannelSpec, n: int, eps: float, k_max: int
+) -> tuple[BoundResult, BoundResult]:
+    """optimize_k's result together with the limiting (k = inf) result it compared against."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     grid = []
@@ -283,4 +290,4 @@ def optimize_k(channel: ChannelSpec, n: int, eps: float, k_max: int = 1024) -> B
     limit = _channel_bound(channel, n, eps, INF)
     if limit.rate_bound < best.rate_bound or best.rate_bound == INF:
         best = limit
-    return best
+    return best, limit

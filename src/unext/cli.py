@@ -157,8 +157,7 @@ def run_figure(
     channel = ChannelSpec(channel_kind, p)
 
     def one(n: int) -> FigureRow:
-        opt = optimize_k(channel, n, eps, k_max=k_max)
-        limit = bounds_mod._channel_bound(channel, n, eps, INF)
+        opt, limit = bounds_mod._optimize_with_limit(channel, n, eps, k_max)
         scale = 1.0 if per_use else float(n)
         return FigureRow(
             n=n,

@@ -26,9 +26,9 @@ one zero-padded stack for the PSD step, one batched eigendecomposition; the
 affine step is a gather and two products with precomputed maps, and the
 extrapolation works on the same entries. Padding is exact: the PSD projection
 of X (+) 0 is psd(X) (+) 0, and the affine maps never read or write it. The maps are built
-once per (d_A, d_B, k) and cached, and they are real: a real rho (every named state) is
-iterated, and its certificate kept, in real arithmetic, while a complex rho or warm start
-makes the iterates complex. For a rank-deficient state the PSD step
+once per (d_A, d_B, k) and cached, and they are real: a real rho (stored as float64, as
+every named state is) is iterated, and its certificate kept, in real arithmetic, while a
+complex rho or warm start makes the iterates complex. For a rank-deficient state the PSD step
 runs on the face every extension lives on (facial reduction), found
 directly in the same blocks, which spares such states the thousands of
 iterations the degenerate directions cost.
@@ -529,14 +529,13 @@ def check_k_extendible(
     d_a, d_b = rho.dims
     k = prob.k
     st = _stack(d_a, d_b, k)
-    matrix = rho.matrix if rho.matrix.imag.any() else rho.matrix.real
-    target = _rows(matrix, d_a)
+    target = _rows(rho.matrix, d_a)
     if start is None:
         start = np.zeros_like(target, shape=st.index.shape)
     elif np.shape(start) != st.index.shape:
         raise ValueError(f"start must be block entries of shape {st.index.shape}")
     x = _affine(start, target, st)[0]
-    f = _face(matrix, d_a, 1e-3 * prob.tol, st)
+    f = _face(rho.matrix, d_a, 1e-3 * prob.tol, st)
     if f is None:
         face_dim = d_a * d_b**k
     else:
@@ -628,7 +627,7 @@ def erasure_certificate(k: int) -> np.ndarray:
         raise ValueError("extension order must be >= 2")
     if 2 * 3**k > MAX_EXTENSION_DIM:
         raise ValueError(f"certificate dimension {2 * 3 ** k} exceeds {MAX_EXTENSION_DIM}")
-    phi_emb = erasure_family(0.0).matrix.real  # entangled pair on dims (2, 3)
+    phi_emb = erasure_family(0.0).matrix  # entangled pair on dims (2, 3)
     flags = np.zeros((3 ** (k - 1),) * 2)
     flags[-1, -1] = 1.0  # the erasure flag |2><2| on each of B_2..B_k
     base = kron(phi_emb, flags)  # pair on (A, B_1), flags elsewhere

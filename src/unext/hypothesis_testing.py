@@ -5,12 +5,12 @@ error is at most eps. For n iid copies the optimal test is constant on the
 n+1 success-count classes, so the optimum is found exactly by sorting classes
 by likelihood ratio and filling probability mass up to 1-eps, randomizing on
 the boundary class. Everything runs in the log2 domain: classes are grouped
-by ratio in numpy, and the sums the fill decides on are compensated and
-kept in loop order. Only the O(sqrt(n)) classes whose true mass lies within
-2^-80 of eps can matter, so the fill runs on that window of classes and is
-then certified against the dropped ones, falling back to the full class list
-when the certificate fails; past the O(n) numpy passes over the class masses
-and the dropped tails the cost grows as sqrt(n). An exact engine in integer
+by ratio in numpy, and the sums the fill decides on are Kahan-compensated,
+written out in loop order. Only the O(sqrt(n)) classes whose true mass lies
+within 2^-80 of eps can matter, so the fill runs on that window of classes
+and is then certified against the dropped ones, falling back to the full
+class list when the certificate fails; past the O(n) numpy passes over the
+class masses and the dropped tails the cost grows as sqrt(n). An exact engine in integer
 arithmetic, for cross-validation, steps the class masses one class at a time
 in fill order and stops at the boundary class; a brute-force enumeration
 oracle covers small n.
@@ -21,7 +21,9 @@ list, and the max-relative entropy for commuting pairs comes from the largest
 eigenvalue ratio. Two n-fold tensor powers are never diagonalized densely:
 their joint spectrum is built from the single-copy pair, one outcome per
 type (count of each factor eigenpair) weighted by its multinomial
-multiplicity, so the cost is polynomial in n.
+multiplicity, so the cost is polynomial in n. The types and multiplicities
+depend only on n and the factor dimension; they are built on first use and
+cached.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Sequence
 
@@ -92,22 +95,18 @@ class NPResult:
         return 0.0 - self.log2_beta
 
 
-def _kahan_append(total: float, comp: float, value: float) -> tuple[float, float]:
-    y = value - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
-
-
 def _log2_sum(terms: Sequence[float]) -> float:
-    """log2 of a sum of 2**term values, compensated; -inf for an empty sum."""
+    """log2 of a sum of 2**term values, Kahan-compensated; -inf for an empty sum."""
     finite = [t for t in terms if t != NEG_INF]
     if not finite:
         return NEG_INF
     m = max(finite)
     total, comp = 0.0, 0.0
     for t in finite:
-        total, comp = _kahan_append(total, comp, 2.0 ** (t - m))
+        y = 2.0 ** (t - m) - comp
+        new = total + y
+        comp = (new - total) - y
+        total = new
     return m + math.log2(total)
 
 
@@ -208,12 +207,15 @@ def _solve_outcome_classes(
     # the acceptance budget left at class i equals target minus the accepted
     # prefix; computing it as suffix_i - (total - target) avoids the O(1)
     # cancellation that a running prefix subtraction would amplify on the
-    # final, tiny classes
+    # final, tiny classes. Both this sum and the accepted mass below are
+    # Kahan-compensated, written out in the loops
     suffixes = [0.0] * (len(p_mass) + 1)
     s_tot, s_comp = 0.0, 0.0
     for i in range(len(p_mass) - 1, -1, -1):
-        s_tot, s_comp = _kahan_append(s_tot, s_comp, p_mass[i])
-        suffixes[i] = s_tot
+        y = p_mass[i] - s_comp
+        new = s_tot + y
+        s_comp = (new - s_tot) - y
+        s_tot = suffixes[i] = new
     offset = suffixes[0] - target
 
     cum, comp = 0.0, 0.0
@@ -230,11 +232,15 @@ def _solve_outcome_classes(
         # acceptance (accepting more only lowers the type-I error)
         if p <= remaining or remaining >= p * (1.0 - 1e-9):
             accepted_q.append(lq)
-            cum, comp = _kahan_append(cum, comp, p)
+            y = p - comp
+            new = cum + y
+            comp = (new - cum) - y
+            cum = new
         else:
             gamma = remaining / p
             boundary_lq = lq
-            cum, comp = _kahan_append(cum, comp, gamma * p)
+            # the last compensated addition; its new compensation is never read
+            cum += gamma * p - comp
             break
 
     terms = list(accepted_q)
@@ -495,6 +501,20 @@ def _co_diagonalize(rho: State, sigma: State) -> tuple[np.ndarray, np.ndarray]:
     return r_out, s_out
 
 
+@lru_cache(maxsize=None)
+def _types(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Types of n copies of m factor eigenpairs: a row of counts c_j each, and n! / prod c_j!.
+
+    Built on first use per (n, m) and cached read-only.
+    """
+    types = combinations_with_replacement(range(m), n)
+    counts = np.array([np.bincount(c, minlength=m) for c in types])
+    factorial = np.array([math.factorial(c) for c in range(n + 1)], dtype=float)
+    mult = factorial[n] / np.prod(factorial[counts], axis=1)
+    counts.flags.writeable = mult.flags.writeable = False
+    return counts, mult
+
+
 def _joint_spectrum(rho: State, sigma: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Joint eigenvalue pairs (r_i, s_i) of a verified-commuting pair, with multiplicities.
 
@@ -512,13 +532,8 @@ def _joint_spectrum(rho: State, sigma: State) -> tuple[np.ndarray, np.ndarray, n
     if not same_power(rho, sigma):
         r, s = _co_diagonalize(rho, sigma)
         return r, s, np.ones_like(r)
-    n = rho.n
     r, s = _co_diagonalize(rho.factor, sigma.factor)
-    counts = np.array(
-        [np.bincount(c, minlength=len(r)) for c in combinations_with_replacement(range(len(r)), n)]
-    )
-    factorial = np.array([math.factorial(c) for c in range(n + 1)], dtype=float)
-    mult = factorial[n] / np.prod(factorial[counts], axis=1)
+    counts, mult = _types(rho.n, len(r))
     r_types = np.prod(np.clip(r, 0.0, None) ** counts, axis=1)
     s_types = np.prod(np.clip(s, 0.0, None) ** counts, axis=1)
     return r_types, s_types, mult

@@ -1,9 +1,11 @@
 """Named bipartite states and qubit channels.
 
 Constructors here produce validated density matrices on declared subsystem
-dimensions. The erasure channel enlarges Bob's qubit to dimension 3, with the
-third basis vector acting as the erasure flag, so its bipartite outputs live
-on dims (2, 3).
+dimensions. The named states are real: each is built from its closed form
+in float64 and validated once, and the tests check it against the channel
+construction (complex Kraus operators through apply_channel_b). The erasure
+channel enlarges Bob's qubit to dimension 3, with the third basis vector
+acting as the erasure flag, so its bipartite outputs live on dims (2, 3).
 """
 
 from __future__ import annotations
@@ -36,13 +38,20 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, PSD matrix with a declared tensor factorization."""
+    """Hermitian, unit-trace, PSD matrix with a declared tensor factorization.
+
+    The matrix is stored as float64 when its imaginary part is exactly zero,
+    as complex128 otherwise.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix)
+        if np.iscomplexobj(m) and not m.imag.any():
+            m = m.real
+        m = np.ascontiguousarray(m, dtype=complex if np.iscomplexobj(m) else float)
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
@@ -81,17 +90,18 @@ class ChannelSpec:
             raise ValueError(f"channel parameter {self.p} outside [0, 1]")
 
 
+def _phi_projector(d: int) -> np.ndarray:
+    """Projector onto the maximally entangled vector of Schmidt rank d, unvalidated."""
+    vec = np.zeros(d * d)
+    vec[:: d + 1] = 1.0 / np.sqrt(d)
+    return np.outer(vec, vec)
+
+
 def max_entangled(m: int) -> DensityMatrix:
     """Maximally entangled state of Schmidt rank m on dims (m, m)."""
     if m < 1:
         raise ValueError("Schmidt rank must be >= 1")
-    vec = np.zeros(m * m, dtype=complex)
-    vec[:: m + 1] = 1.0 / np.sqrt(m)
-    return DensityMatrix(np.outer(vec, vec.conj()), (m, m))
-
-
-def _phi_projector(d: int) -> np.ndarray:
-    return max_entangled(d).matrix
+    return DensityMatrix(_phi_projector(m), (m, m))
 
 
 def isotropic(t: float, d: int) -> DensityMatrix:
@@ -101,7 +111,7 @@ def isotropic(t: float, d: int) -> DensityMatrix:
     if d < 2:
         raise ValueError("local dimension must be >= 2")
     phi = _phi_projector(d)
-    rest = (np.eye(d * d, dtype=complex) - phi) / (d * d - 1)
+    rest = (np.eye(d * d) - phi) / (d * d - 1)
     return DensityMatrix(t * phi + (1.0 - t) * rest, (d, d))
 
 
@@ -143,46 +153,37 @@ def apply_channel_b(rho: DensityMatrix, kraus: Sequence[np.ndarray]) -> DensityM
 
 
 def depolarizing_choi(p: float) -> DensityMatrix:
-    """Choi state of the qubit depolarizing channel: (id (x) D^p)(Phi_2)."""
+    """Qubit depolarizing Choi state (id (x) D^p)(Phi_2) = (1-p)Phi + (p/3)(I - Phi)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing parameter {p} outside [0, 1]")
-    return apply_channel_b(max_entangled(2), depolarizing_kraus(p))
+    phi = _phi_projector(2)
+    return DensityMatrix((1.0 - p) * phi + (p / 3.0) * (np.eye(4) - phi), (2, 2))
 
 
 def erasure_output(p: float) -> DensityMatrix:
-    """(id (x) erasure_p)(Phi_2) on dims (2, 3)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"erasure probability {p} outside [0, 1]")
-    return apply_channel_b(max_entangled(2), erasure_kraus(p))
+    """(id (x) erasure_p)(Phi_2) on dims (2, 3), which is erasure_family(p)."""
+    return erasure_family(p)
 
 
 def erasure_family(q: float) -> DensityMatrix:
-    """(1-q)*Phi + q*(I_A/2 (x) |e><e|) on dims (2, 3); equals erasure_output(q).
-
-    Built directly from the mixture rather than through the channel, so the
-    two constructors cross-check each other.
-    """
+    """(1-q)*Phi + q*(I_A/2 (x) |e><e|) on dims (2, 3), which is (id (x) erasure_q)(Phi_2)."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"mixing weight {q} outside [0, 1]")
-    embed = np.zeros((6, 4), dtype=complex)  # B qubit -> first two levels of the 3-dim B
-    # basis map |a b> (b in 0..1) -> index 3a + b
-    for a in range(2):
-        for b in range(2):
-            embed[3 * a + b, 2 * a + b] = 1.0
-    phi = embed @ _phi_projector(2) @ embed.conj().T
-    flag = np.zeros((3, 3), dtype=complex)
-    flag[2, 2] = 1.0
-    erased = linalg.kron(np.eye(2, dtype=complex) / 2, flag)
-    return DensityMatrix((1.0 - q) * phi + q * erased, (2, 3))
+    out = np.zeros((6, 6))
+    # |a b> is index 3a + b here and the flag e is b = 2, so Phi's |00>, |11> are 0, 4
+    out[np.ix_((0, 4), (0, 4))] = (1.0 - q) * _phi_projector(2)[np.ix_((0, 3), (0, 3))]
+    out[(2, 5), (2, 5)] = q / 2
+    return DensityMatrix(out, (2, 3))
 
 
 @dataclass(frozen=True)
 class TensorPower:
     """n-fold tensor power of a validated single-copy state, kept factored.
 
-    The dense matrix of dimension factor.dim ** n is built only when
-    `matrix` is read, and then cached. Functions that know the product
-    structure (fidelity, the commuting-pair divergences) work on the factor.
+    The dense matrix of dimension factor.dim ** n is built, in the factor's
+    dtype, only when `matrix` is read, and then cached. Functions that know
+    the product structure (fidelity, the commuting-pair divergences) work on
+    the factor.
     """
 
     factor: DensityMatrix

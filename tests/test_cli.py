@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import unext
+from unext import bounds as bounds_mod
 from unext import cli, linalg
 from unext import extendibility as ext_mod
 from unext.cli import main
-from unext.states import isotropic
+from unext.states import ChannelSpec, isotropic
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +90,28 @@ def test_check_never_lifts_the_certificate(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "check", "isotropic:0.56:2", "--k", "5")
     assert code == 0
     assert json.loads(out)["status"] == "feasible"
+
+
+def test_figure_rows_make_only_the_divergence_calls_of_optimize_k(monkeypatch):
+    # each row's limit curve is the one optimize_k compared against, not a
+    # second evaluation
+    calls = []
+    np_divergence = bounds_mod.np_divergence
+
+    def counted(*args):
+        calls.append(args)
+        return np_divergence(*args)
+
+    monkeypatch.setattr(bounds_mod, "np_divergence", counted)
+    for kind, p in (("depolarizing", 0.15), ("erasure", 0.3)):
+        calls.clear()
+        rows = cli.run_figure(kind, p, 0.05, 6, k_max=64)
+        in_figure = list(calls)
+        calls.clear()
+        for row in rows:
+            opt = bounds_mod.optimize_k(ChannelSpec(kind, p), row.n, 0.05, k_max=64)
+            assert opt.k_used == row.k_used
+        assert in_figure == calls, kind
 
 
 def test_check_inconclusive_exit_code(capsys):

@@ -241,6 +241,30 @@ def test_real_states_iterate_in_real_arithmetic():
             assert max(defects.values()) <= 1e-7, (spec, k, defects)
 
 
+def test_matrix_json_states_keep_their_dtype_and_verdicts(tmp_path):
+    # a matrix file stores complex entries: a state whose imaginary part is
+    # all zero loads as float64 and runs as its spec string does, step for
+    # step, and one with a nonzero imaginary part stays complex128
+    path = str(tmp_path / "state.json")
+
+    def reload(state):
+        linalg.save_matrix_json(path, state.matrix, state.dims)
+        return DensityMatrix(*linalg.load_matrix_json(path))
+
+    for spec, k, _, _ in ITERATION_CASES:
+        rho = parse_state_spec(spec)
+        real, cplx = reload(rho), reload(rotated(rho))
+        assert (real.matrix.dtype, cplx.matrix.dtype) == (np.float64, np.complex128), spec
+        assert np.array_equal(real.matrix, rho.matrix), spec
+        want = check_k_extendible(ExtensionProblem(rho, k))
+        got = check_k_extendible(ExtensionProblem(real, k))
+        assert (got.status, got.iterations, got.face_dim) == (
+            want.status,
+            want.iterations,
+            want.face_dim,
+        ), spec
+
+
 def test_warm_starts_promote_across_dtypes():
     # a complex start on a real rho, or real blocks on a complex one, iterate
     # in complex arithmetic and keep the imaginary part (a ComplexWarning

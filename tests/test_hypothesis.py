@@ -233,6 +233,12 @@ def test_window_matches_full_class_list_bit_for_bit(monkeypatch):
     assert sum(certified) >= 40, sum(certified)
 
 
+def _kahan_append(total, comp, value):
+    y = value - comp
+    t = total + y
+    return t, (t - total) - y
+
+
 def _reference_solve_outcome_classes(log2_p, log2_q, weights, eps):
     """The dict-and-Kahan fill _solve_outcome_classes must reproduce bit for bit."""
     groups = {}
@@ -253,7 +259,7 @@ def _reference_solve_outcome_classes(log2_p, log2_q, weights, eps):
     suffixes = [0.0] * (len(merged) + 1)
     s_tot, s_comp = 0.0, 0.0
     for i in range(len(merged) - 1, -1, -1):
-        s_tot, s_comp = ht._kahan_append(s_tot, s_comp, merged[i][1])
+        s_tot, s_comp = _kahan_append(s_tot, s_comp, merged[i][1])
         suffixes[i] = s_tot
     offset = suffixes[0] - target
 
@@ -269,13 +275,13 @@ def _reference_solve_outcome_classes(log2_p, log2_q, weights, eps):
         boundary_weight = wmin
         if p_mass <= remaining or remaining >= p_mass * (1.0 - 1e-9):
             accepted_q.append(lq_group)
-            cum, comp = ht._kahan_append(cum, comp, p_mass)
+            cum, comp = _kahan_append(cum, comp, p_mass)
             gamma = 1.0
             boundary_lq = NEG_INF
         else:
             gamma = remaining / p_mass
             boundary_lq = lq_group
-            cum, comp = ht._kahan_append(cum, comp, gamma * p_mass)
+            cum, comp = _kahan_append(cum, comp, gamma * p_mass)
             break
 
     terms = list(accepted_q)

@@ -4,8 +4,11 @@ import pytest
 from unext import linalg, states
 from unext.states import (
     DensityMatrix,
+    apply_channel_b,
     depolarizing_choi,
+    depolarizing_kraus,
     erasure_family,
+    erasure_kraus,
     erasure_output,
     fidelity,
     isotropic,
@@ -66,10 +69,36 @@ def test_choi_and_isotropic_spectra_match_on_grid():
 
 def test_erasure_constructors_agree_on_grid():
     for q in np.linspace(0.0, 1.0, 21):
-        a = erasure_output(float(q))
-        b = erasure_family(float(q))
+        a = apply_channel_b(max_entangled(2), erasure_kraus(float(q)))
+        b = erasure_output(float(q))
         assert a.dims == b.dims == (2, 3)
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12, f"mismatch at q={q}"
+
+
+def test_closed_forms_match_their_channel_constructions():
+    phi = max_entangled(2)
+    pairs = ((depolarizing_choi, depolarizing_kraus), (erasure_family, erasure_kraus))
+    for p in (0.0, 0.15, 0.5, 0.75, 1.0):
+        for closed, kraus in pairs:
+            want = apply_channel_b(phi, kraus(p))
+            got = closed(p)
+            assert got.dims == want.dims
+            assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-15, (closed.__name__, p)
+
+
+def test_named_states_and_their_dense_powers_are_float64():
+    named = [
+        max_entangled(3),
+        isotropic(0.7, 3),
+        depolarizing_choi(0.15),
+        erasure_output(0.35),
+        erasure_family(2 / 3),
+    ]
+    for rho in named:
+        assert rho.matrix.dtype == np.float64
+        assert states.tensor_power(rho, 2).matrix.dtype == np.float64
+    # 4^5 entries squared, 8 bytes each
+    assert states.tensor_power(depolarizing_choi(0.15), 5).matrix.nbytes == 8 * 4**10
 
 
 def test_erasure_endpoints():
