@@ -22,7 +22,7 @@ gives a valid ceiling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .hypothesis_testing import (
@@ -82,6 +82,8 @@ class BoundResult:
     method: str
     divergence: float
     sigma_provenance: str
+    # set by optimize_k: the limiting (k = inf) result the optimum was compared against
+    limit: Optional[BoundResult] = field(default=None, repr=False, compare=False)
 
 
 def max_log2_m(d_total: float, k: float) -> float:
@@ -252,14 +254,8 @@ def optimize_k(channel: ChannelSpec, n: int, eps: float, k_max: int = 1024) -> B
     Scans a doubling grid of orders, refines around the grid winner, and keeps
     the limiting curve as the final candidate. Ties go to the smallest order.
     When every candidate is vacuous the limiting result (+inf) is returned.
+    The returned result carries the limiting result as `limit`.
     """
-    return _optimize_with_limit(channel, n, eps, k_max)[0]
-
-
-def _optimize_with_limit(
-    channel: ChannelSpec, n: int, eps: float, k_max: int
-) -> tuple[BoundResult, BoundResult]:
-    """optimize_k's result together with the limiting (k = inf) result it compared against."""
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     grid = []
@@ -290,4 +286,4 @@ def _optimize_with_limit(
     limit = _channel_bound(channel, n, eps, INF)
     if limit.rate_bound < best.rate_bound or best.rate_bound == INF:
         best = limit
-    return best, limit
+    return replace(best, limit=limit)

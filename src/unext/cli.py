@@ -157,7 +157,8 @@ def run_figure(
     channel = ChannelSpec(channel_kind, p)
 
     def one(n: int) -> FigureRow:
-        opt, limit = bounds_mod._optimize_with_limit(channel, n, eps, k_max)
+        opt = optimize_k(channel, n, eps, k_max=k_max)
+        limit = opt.limit
         scale = 1.0 if per_use else float(n)
         return FigureRow(
             n=n,

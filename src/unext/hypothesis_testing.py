@@ -21,9 +21,7 @@ list, and the max-relative entropy for commuting pairs comes from the largest
 eigenvalue ratio. Two n-fold tensor powers are never diagonalized densely:
 their joint spectrum is built from the single-copy pair, one outcome per
 type (count of each factor eigenpair) weighted by its multinomial
-multiplicity, so the cost is polynomial in n. The types and multiplicities
-depend only on n and the factor dimension; they are built on first use and
-cached.
+multiplicity, so the cost is polynomial in n.
 """
 
 from __future__ import annotations
@@ -31,8 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
@@ -501,20 +498,6 @@ def _co_diagonalize(rho: State, sigma: State) -> tuple[np.ndarray, np.ndarray]:
     return r_out, s_out
 
 
-@lru_cache(maxsize=None)
-def _types(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Types of n copies of m factor eigenpairs: a row of counts c_j each, and n! / prod c_j!.
-
-    Built on first use per (n, m) and cached read-only.
-    """
-    types = combinations_with_replacement(range(m), n)
-    counts = np.array([np.bincount(c, minlength=m) for c in types])
-    factorial = np.array([math.factorial(c) for c in range(n + 1)], dtype=float)
-    mult = factorial[n] / np.prod(factorial[counts], axis=1)
-    counts.flags.writeable = mult.flags.writeable = False
-    return counts, mult
-
-
 def _joint_spectrum(rho: State, sigma: State) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Joint eigenvalue pairs (r_i, s_i) of a verified-commuting pair, with multiplicities.
 
@@ -532,8 +515,18 @@ def _joint_spectrum(rho: State, sigma: State) -> tuple[np.ndarray, np.ndarray, n
     if not same_power(rho, sigma):
         r, s = _co_diagonalize(rho, sigma)
         return r, s, np.ones_like(r)
+    n = rho.n
     r, s = _co_diagonalize(rho.factor, sigma.factor)
-    counts, mult = _types(rho.n, len(r))
+    m = len(r)
+    # one row of factor indices per type, counted in a single bincount
+    types = np.fromiter(
+        chain.from_iterable(combinations_with_replacement(range(m), n)), dtype=np.intp
+    ).reshape(-1, n)
+    t = len(types)
+    counts = np.bincount((types + m * np.arange(t)[:, None]).ravel(), minlength=t * m)
+    counts = counts.reshape(t, m)
+    factorial = np.array([math.factorial(c) for c in range(n + 1)], dtype=float)
+    mult = factorial[n] / np.prod(factorial[counts], axis=1)
     r_types = np.prod(np.clip(r, 0.0, None) ** counts, axis=1)
     s_types = np.prod(np.clip(s, 0.0, None) ** counts, axis=1)
     return r_types, s_types, mult

@@ -40,8 +40,8 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 class DensityMatrix:
     """Hermitian, unit-trace, PSD matrix with a declared tensor factorization.
 
-    The matrix is stored as float64 when its imaginary part is exactly zero,
-    as complex128 otherwise.
+    The matrix is copied on construction and stored as float64 when its
+    imaginary part is exactly zero, as complex128 otherwise.
     """
 
     matrix: np.ndarray
@@ -49,9 +49,10 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix)
-        if np.iscomplexobj(m) and not m.imag.any():
-            m = m.real
-        m = np.ascontiguousarray(m, dtype=complex if np.iscomplexobj(m) else float)
+        real = not np.iscomplexobj(m) or not m.imag.any()
+        # always a private copy, so that changing the caller's array later
+        # cannot change a validated state
+        m = np.array(m.real if real else m, dtype=float if real else complex, order="C")
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)

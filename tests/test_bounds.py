@@ -230,6 +230,14 @@ def test_optimize_k_all_vacuous_returns_limit():
     assert res.method == "limit"
 
 
+def test_optimize_k_carries_its_limiting_result():
+    for channel, bound in ((DEP, depolarizing_bound), (ERA, erasure_bound)):
+        for n in (1, 7, 50):
+            opt = optimize_k(channel, n, 0.05, k_max=64)
+            assert opt.limit == bound(BoundQuery(channel, n, 0.05, INF)), (channel, n)
+            assert opt.limit.limit is None
+
+
 def test_vacuity_monotone_in_n_for_fixed_k():
     finite = [
         n

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -500,6 +501,28 @@ def test_commuting_dh_matches_binary_reduction_small():
         assert abs(got - want) < 1e-9, n
         assert abs(got - commuting_dh(_dense(rho), _dense(sig), eps)) < 1e-9, n
         assert abs(d_max_commuting(rho, sig) - d_max_commuting(_dense(rho), _dense(sig))) < 1e-9, n
+
+
+def test_joint_spectrum_types_match_a_per_type_loop():
+    # the type counts come from one bincount over all types; a bincount per
+    # type, in combinations_with_replacement order, is the reference
+    pairs = [(states.depolarizing_choi(0.15), states.isotropic(0.75, 2), n) for n in (1, 2, 5)]
+    pairs += [(states.erasure_output(0.35), states.erasure_family(0.5), n) for n in (1, 3)]
+    for rho, sig, n in pairs:
+        r, s = ht._co_diagonalize(rho, sig)
+        m = len(r)
+        counts = np.array(
+            [np.bincount(c, minlength=m) for c in combinations_with_replacement(range(m), n)]
+        )
+        factorial = np.array([math.factorial(c) for c in range(n + 1)], dtype=float)
+        want = (
+            np.prod(np.clip(r, 0.0, None) ** counts, axis=1),
+            np.prod(np.clip(s, 0.0, None) ** counts, axis=1),
+            factorial[n] / np.prod(factorial[counts], axis=1),
+        )
+        got = ht._joint_spectrum(states.tensor_power(rho, n), states.tensor_power(sig, n))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), (m, n)
 
 
 def test_commuting_dh_rejects_noncommuting():
