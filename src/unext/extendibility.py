@@ -35,10 +35,8 @@ iterations the degenerate directions cost.
 
 Operators enter the solver only as block entries (a warm start is a
 Feasible verdict's blocks) and leave it only through the group average,
-which works in index space: permutation-invariant operators on A (x) B^(x)k
-are constant on the orbits of matrix entries under simultaneous permutation
-of the row and column B digits, so the average is a mean over orbits through
-a cached label map.
+symmetrize, which sums the k! conjugates of an operator as k - 1 stages of
+B-factor swaps and keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -125,47 +123,6 @@ def _conj_indices(d_a: int, d_b: int, k: int, perm: tuple[int, ...]) -> np.ndarr
     """Index array src with W omega W^dagger == omega[ix_(src, src)] for the lifted permutation."""
     block = d_b**k
     return (np.arange(d_a)[:, None] * block + _b_gather(d_b, k, perm)[None, :]).reshape(-1)
-
-
-@lru_cache(maxsize=None)
-def _index_maps(d_a: int, d_b: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit label of every entry under B-factor permutations, row-major, and the orbit sizes.
-
-    A permutation of the B factors moves entry (r, c), with B digits
-    (b_1..b_k) and (b'_1..b'_k), onto every entry with the same A digits and
-    the same multiset of digit pairs (b_i, b'_i). Sorting the pair codes
-    b_i d_b + b'_i therefore reaches a canonical representative of the orbit,
-    and the labels number the d_a^2 C(d_b^2 + k - 1, k) representatives in
-    increasing order. Codes are built a block of rows at a time in the
-    narrowest dtype that holds them, so no dim^2 x k array is formed: at the
-    4096 guard one would take 1.5 GB as int64, while the labels and the
-    ranking table take O(dim^2).
-    """
-    block = d_b**k
-    dim = d_a * block
-    n_pairs = d_b * d_b
-    code_t = np.min_scalar_type(n_pairs - 1)
-    digits = np.tile(np.stack(np.unravel_index(np.arange(block), (d_b,) * k), axis=1), (d_a, 1))
-    row_codes = (digits * d_b).astype(code_t)
-    col_codes = digits.astype(code_t)
-    a_digit = np.repeat(np.arange(d_a, dtype=np.int64), block)
-    rep = np.empty((dim, dim), dtype=np.int64)
-    step = max(1, (1 << 22) // (dim * k))
-    for r0 in range(0, dim, step):
-        rows = slice(r0, r0 + step)
-        codes = row_codes[rows, None, :] + col_codes[None, :, :]
-        codes.sort(axis=-1)
-        key = a_digit[rows, None] * d_a + a_digit[None, :]
-        for i in range(k):
-            key = key * n_pairs + codes[..., i]
-        rep[rows] = key
-    # keys lie in [0, dim^2): rank them through a table rather than a sort
-    rank = np.zeros(dim * dim, dtype=np.intp)
-    rank[rep.reshape(-1)] = 1
-    np.cumsum(rank, out=rank)
-    rank -= 1
-    labels = rank[rep.reshape(-1)]
-    return labels, np.bincount(labels)
 
 
 def _shapes(k: int, rows: int, cap: Optional[int] = None) -> list[tuple[int, ...]]:
@@ -267,12 +224,6 @@ def _rows(x: np.ndarray, d_a: int) -> np.ndarray:
     return x.reshape(d_a, m, d_a, m).transpose(0, 2, 1, 3).reshape(d_a * d_a, m * m)
 
 
-def _from_rows(rows: np.ndarray, d_a: int) -> np.ndarray:
-    """Inverse of _rows."""
-    m = math.isqrt(rows.shape[1])
-    return rows.reshape(d_a, d_a, m, m).transpose(0, 2, 1, 3).reshape(d_a * m, d_a * m)
-
-
 @dataclass(frozen=True)
 class _Stack:
     """The Schur-Weyl blocks of A (x) B^(x)k as one zero-padded (L, M, M) stack.
@@ -345,8 +296,15 @@ def _lift(rows: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
     m = st.basis.shape[1]
     grid = np.zeros((d_a * d_a, m * m), dtype=rows.dtype)
     grid[:, st.grid] = rows * st.weight
-    full = st.basis @ grid.reshape(d_a, d_a, m, m) @ st.basis.T
-    return symmetrize(_from_rows(full.reshape(d_a * d_a, -1), d_a), d_a, d_b, k)
+    n = d_b**k
+    full = np.empty((d_a * n, d_a * n), dtype=rows.dtype)
+    # the (a, a') blocks go straight to rows (a, .) and columns (a', .) of full
+    np.matmul(
+        st.basis @ grid.reshape(d_a, d_a, m, m),
+        st.basis.T,
+        out=full.reshape(d_a, n, d_a, n).transpose(0, 2, 1, 3),
+    )
+    return symmetrize(full, d_a, d_b, k)
 
 
 def _affine(rows: np.ndarray, target: np.ndarray, st: _Stack) -> tuple[np.ndarray, np.ndarray]:
@@ -386,24 +344,43 @@ def _face(rho: np.ndarray, d_a: int, cutoff: float, st: _Stack) -> Optional[np.n
 def symmetrize(omega: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
     """Average omega over permutations of the k B factors.
 
-    The group average of an entry is the mean of omega over the entry's orbit
-    under simultaneous permutation of the row and column B digits: every orbit
-    element is reached by |stabiliser| of the k! permutations, so the k!-term
-    average and the orbit mean are the same linear map. The orbit labels come
-    from _index_maps, built once per (d_a, d_b, k); a call is two bincounts
-    (one for a real omega, which stays real) and a gather, whatever k is.
+    Every permutation of the first j factors is one of e, (1 j), ..., (j-1 j)
+    times a permutation of the first j - 1, so the k!-term sum is the stages
+    A_2, ..., A_k in turn (the coset chain of S_k), A_j the sum of its input
+    and the input's conjugates by the swaps (i j), i < j. omega is divided by
+    k! as it is copied into pair-major order (b_1 b'_1, ..., b_k b'_k, a a'),
+    where conjugation by a swap exchanges two axes of size d_b^2 and the A
+    pair, never moved, stays innermost. A call makes about k^2 / 2 passes over
+    two buffers of omega's size and keeps nothing. A complex omega stays
+    complex; any other comes back float64.
     """
     dim = d_a * d_b**k
     omega = np.asarray(omega)
     if omega.shape != (dim, dim):
         raise ValueError(f"omega shape {omega.shape} does not match dims ({d_a}, {d_b}^{k})")
-    labels, sizes = _index_maps(d_a, d_b, k)
-    flat = omega.reshape(-1)
-    n = sizes.size
-    sums = np.bincount(labels, flat.real, n)
-    if np.iscomplexobj(flat):
-        sums = sums + 1j * np.bincount(labels, flat.imag, n)
-    return (sums / sizes)[labels].reshape(dim, dim)
+    split = ((d_a,) + (d_b,) * k) * 2
+    paired = (d_b,) * 2 * k + (d_a,) * 2
+    order = [*range(1, k + 1), 0]  # the factor on each pair axis, 0 the A pair
+    dtype = complex if np.iscomplexobj(omega) else float
+    # two buffers in turn: every stage overwrites all of one, so none pays for fresh pages
+    acc, spare = (np.empty((d_b * d_b,) * k + (d_a * d_a,), dtype=dtype) for _ in range(2))
+    src = omega.reshape(split).transpose([ax for f in order for ax in (f, k + 1 + f)])
+    np.divide(src, math.factorial(k), out=acc.reshape(paired))
+    for j in range(2, k + 1):
+        if j == k - 1:
+            # B_{k-1} and B_k move to the front: the swaps of the last two stages
+            # would otherwise all exchange the innermost axes, in short strided runs
+            np.copyto(spare, acc.transpose(k - 2, k - 1, *range(k - 2), k))
+            acc, spare = spare, acc
+            order = order[k - 2 : k] + order[: k - 2] + [0]
+        np.add(acc, acc.swapaxes(order.index(1), order.index(j)), out=spare)
+        for i in range(2, j):
+            spare += acc.swapaxes(order.index(i), order.index(j))
+        acc, spare = spare, acc
+    pairs = [ax for f in order for ax in (f, k + 1 + f)]
+    out = spare.reshape(dim, dim)
+    np.copyto(out.reshape(split), acc.reshape(paired).transpose(np.argsort(pairs)))
+    return out
 
 
 def symmetry_defect(omega: np.ndarray, d_a: int, d_b: int, k: int) -> float:

@@ -25,12 +25,6 @@ _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-10
 
-# PSD validation by eigenvalue scan is skipped above this dimension; the
-# cheap checks (Hermiticity, trace, dims) always run. Tensor powers are not
-# affected: a TensorPower holds its single-copy factor, which was validated
-# in full, so the limit only bites on large matrices supplied whole.
-_PSD_CHECK_MAX_DIM = 256
-
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -67,10 +61,9 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > _TRACE_TOL:
             raise ValueError(f"trace {tr} is not 1 within {_TRACE_TOL}")
-        if n <= _PSD_CHECK_MAX_DIM:
-            lo = float(np.linalg.eigvalsh(linalg.hermitize(m))[0])
-            if lo < -_PSD_TOL:
-                raise ValueError(f"minimum eigenvalue {lo:.3e} below -{_PSD_TOL}")
+        lo = float(np.linalg.eigvalsh(linalg.hermitize(m))[0])
+        if lo < -_PSD_TOL:
+            raise ValueError(f"minimum eigenvalue {lo:.3e} below -{_PSD_TOL}")
 
     @property
     def dim(self) -> int:

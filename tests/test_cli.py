@@ -148,6 +148,20 @@ def test_check_rejects_invalid_matrix_file(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_check_rejects_large_non_psd_matrix_file(tmp_path, capsys):
+    # unit trace and Hermitian, smallest eigenvalue about -0.497, and larger than
+    # any size below which the PSD check could be skipped
+    matrix = np.eye(300) / 300
+    matrix[0, 0] += 0.5
+    matrix[1, 1] -= 0.5
+    path = tmp_path / "non_psd.json"
+    linalg.save_matrix_json(str(path), matrix, (150, 2))
+    code, out, err = run_cli(capsys, "check", str(path), "--k", "2")
+    assert code == 1
+    assert out == ""
+    assert "minimum eigenvalue" in err
+
+
 def test_bound_csv_format(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -22,7 +23,6 @@ from unext.extendibility import (
     _conj_indices,
     _face,
     _gram_solve,
-    _index_maps,
     _lift,
     _rows,
     _schur_weyl,
@@ -93,19 +93,47 @@ def test_symmetrize_two_term_average():
 
 
 def test_symmetrize_matches_full_average():
-    # the orbit mean against the explicit k!-term average over lifted permutations
+    # the coset chain against the explicit k!-term average over lifted
+    # permutations, for complex, real and integer input
     shapes = [(2, 2, k) for k in range(2, 7)] + [(2, 3, 2), (2, 3, 3), (3, 3, 2)]
+    rng = np.random.default_rng(13)
     for d_a, d_b, k in shapes:
-        omega = random_hermitian(d_a * d_b**k, 11)
-        full = np.zeros_like(omega, dtype=complex)
-        for perm in permutations(range(k)):
-            src = _conj_indices(d_a, d_b, k, perm)
-            full += omega[np.ix_(src, src)]
-        full /= math.factorial(k)
-        got = symmetrize(omega, d_a, d_b, k)
-        assert np.max(np.abs(got - full)) < 1e-11, (d_a, d_b, k)
-        n_orbits = _index_maps(d_a, d_b, k)[1].size
-        assert n_orbits == d_a**2 * math.comb(d_b**2 + k - 1, k), (d_a, d_b, k)
+        dim = d_a * d_b**k
+        inputs = [
+            (random_hermitian(dim, 11), np.complex128),
+            (rng.normal(size=(dim, dim)), np.float64),
+            (rng.integers(-5, 6, size=(dim, dim)), np.float64),
+        ]
+        for omega, dtype in inputs:
+            full = np.zeros(omega.shape, dtype=dtype)
+            for perm in permutations(range(k)):
+                src = _conj_indices(d_a, d_b, k, perm)
+                full += omega[np.ix_(src, src)]
+            full /= math.factorial(k)
+            got = symmetrize(omega, d_a, d_b, k)
+            assert got.dtype == dtype, (d_a, d_b, k, omega.dtype)
+            assert np.max(np.abs(got - full)) < 1e-11, (d_a, d_b, k, omega.dtype)
+        # an invariant operator has one free entry per A pair and multiset of
+        # B digit pairs, as many as the Schur-Weyl blocks hold
+        assert _stack(d_a, d_b, k).index.size == d_a**2 * math.comb(d_b**2 + k - 1, k)
+
+
+def test_symmetrize_keeps_nothing_and_peaks_within_four_operators():
+    d_a, d_b, k = 2, 2, 8
+    dim = d_a * d_b**k
+    omega = np.random.default_rng(5).normal(size=(dim, dim))
+    tracemalloc.start()
+    try:
+        out = symmetrize(omega, d_a, d_b, k)
+        held, peak = tracemalloc.get_traced_memory()
+        del out
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    slack = 1 << 16
+    assert held <= omega.nbytes + slack  # the output only
+    assert left <= slack  # no cache outlives the call
+    assert peak <= 4 * omega.nbytes
 
 
 def test_schur_weyl_blocks_match_dense():
