@@ -7,8 +7,9 @@ state and a chosen k-extendible reference state. Solving for log2(M) turns
 any computable divergence value into a rate ceiling; the bound is vacuous
 (+inf) once 2^-D drops to 1/k.
 
-The reference states used here are the tensor-power isotropic family for the
-depolarizing channel, at its largest k-extendible parameter
+`channel_bound` holds the one channel-dependent choice, the reference state:
+the tensor-power isotropic family for the depolarizing channel, at its
+largest k-extendible parameter
 t*(k) = (k + 1) / (2k), and the partially-erased entangled family for the
 erasure channel (k-extendibility certified constructively at q = 1 - 1/k).
 That threshold is the singlet fraction each clone keeps with A when one half
@@ -25,12 +26,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .hypothesis_testing import (
-    BinaryHypothesisPair,
-    d_max_commuting,
-    np_divergence,
-)
-from .states import ChannelSpec, depolarizing_choi, isotropic
+from .hypothesis_testing import BinaryHypothesisPair, np_divergence
+from .states import ChannelSpec
 
 INF = float("inf")
 
@@ -123,56 +120,49 @@ def _bernoulli_ceiling(
     return BoundResult(n, _invert(d, k, n), k, param, method, d, provenance)
 
 
-def depolarizing_bound(query: BoundQuery) -> BoundResult:
-    """Rate ceiling for the depolarizing channel against an isotropic reference.
+def _reference(query: BoundQuery) -> tuple[float, float, str]:
+    """The queried channel's k-extendible reference: (parameter, alternative, provenance).
 
-    The n-use discrimination reduces to Bernoulli(1-p) vs Bernoulli(t) on the
-    entangled-projector count; t defaults to the extendibility threshold for
-    the queried order (the tightest admissible isotropic choice) and may be
-    overridden downward.
+    The alternative is the reference's per-use Bernoulli parameter against the
+    channel's 1 - p. Depolarizing: isotropic at t = t*(k), alternative t, and
+    an override may only lower t. Erasure: the family erased with weight
+    q = 1 - 1/k, which carries a constructive extension certificate (q = 1 at
+    k = inf), alternative 1 - q, and an override may only raise q.
     """
-    if query.channel.kind != "depolarizing":
-        raise ValueError(f"expected a depolarizing channel, got {query.channel.kind}")
-    p = query.channel.p
-    t_default, provenance = t_star(query.k)
-    t = t_default
-    if query.sigma_param is not None:
-        t = query.sigma_param
-        if t > t_default + 1e-12:
+    k, sigma = query.k, query.sigma_param
+    if query.channel.kind == "depolarizing":
+        param, provenance = t_star(k)
+        if sigma is not None:
+            if sigma > param + 1e-12:
+                raise ValueError(
+                    f"sigma parameter {sigma} exceeds the admissible threshold {param} "
+                    f"for order {k}"
+                )
+            if sigma <= 0.0:
+                raise ValueError("sigma parameter must be positive")
+            param, provenance = sigma, "override"
+        return param, param, provenance
+    param, provenance = (1.0, "limit") if k == INF else (1.0 - 1.0 / k, "constructive")
+    if sigma is not None:
+        if sigma < param - 1e-12:
             raise ValueError(
-                f"sigma parameter {t} exceeds the admissible threshold {t_default} "
-                f"for order {query.k}"
+                f"sigma parameter {sigma} below the admissible erased "
+                f"weight {param} for order {k}"
             )
-        if t <= 0.0:
-            raise ValueError("sigma parameter must be positive")
-        provenance = "override"
-    return _bernoulli_ceiling(query.n, query.eps, query.k, 1.0 - p, t, t, provenance)
+        param, provenance = sigma, "override"
+    return param, 1.0 - param, provenance
 
 
-def erasure_bound(query: BoundQuery) -> BoundResult:
-    """Rate ceiling for the erasure channel against the partially-erased family.
+def channel_bound(query: BoundQuery) -> BoundResult:
+    """Rate ceiling for the queried channel against its k-extendible reference.
 
-    The reference at order k erases with weight q = 1 - 1/k, which carries a
-    constructive extension certificate; the reduced problem is Bernoulli(1-p)
-    vs Bernoulli(1/k) on the unerased count. k = inf takes the q -> 1 limit.
+    The n-use discrimination of the channel's Choi state from the reference
+    reduces to Bernoulli(1-p) vs Bernoulli(alternative) on the count of
+    entangled projectors (depolarizing) or unerased uses (erasure).
     """
-    if query.channel.kind != "erasure":
-        raise ValueError(f"expected an erasure channel, got {query.channel.kind}")
-    p = query.channel.p
-    if query.k == INF:
-        q_param, provenance = 1.0, "limit"
-    else:
-        q_param, provenance = 1.0 - 1.0 / query.k, "constructive"
-    if query.sigma_param is not None:
-        if query.sigma_param < q_param - 1e-12:
-            raise ValueError(
-                f"sigma parameter {query.sigma_param} below the admissible erased "
-                f"weight {q_param} for order {query.k}"
-            )
-        q_param = query.sigma_param
-        provenance = "override"
+    param, alternative, provenance = _reference(query)
     return _bernoulli_ceiling(
-        query.n, query.eps, query.k, 1.0 - p, 1.0 - q_param, q_param, provenance
+        query.n, query.eps, query.k, 1.0 - query.channel.p, alternative, param, provenance
     )
 
 
@@ -209,18 +199,22 @@ def interleaved_bound(query: BoundQuery) -> BoundResult:
     Uses the max-relative entropy to the best admissible isotropic reference,
     which for the depolarizing channel is evaluated at t = min(threshold, 1-p)
     by two-ratio monotonicity; restricting the reference family only loosens
-    the ceiling, never invalidates it. The divergence budget grows linearly in
+    the ceiling, never invalidates it. Both states are diagonal in the Bell
+    basis, with weights (1-p, p/3, p/3, p/3) and (t, (1-t)/3, (1-t)/3,
+    (1-t)/3), so D_max = max(log2((1-p)/t), log2(p/(1-t))) over the Choi
+    state's support, in closed form. The divergence budget grows linearly in
     n, so finite orders go vacuous past n ~ log2(k) / E.
     """
     if query.channel.kind != "depolarizing":
         raise ValueError("the interleaved bound is implemented for the depolarizing channel")
     p = query.channel.p
     t_default, provenance = t_star(query.k)
-    t_sel = min(t_default, 1.0 - p)
-    if t_sel > 0.0:
-        e_max = max(0.0, d_max_commuting(depolarizing_choi(p), isotropic(t_sel, 2)))
-    else:
-        e_max = 0.0  # p = 1: the Choi state itself is admissible
+    t_sel = min(t_default, 1.0 - p)  # positive wherever 1 - p is, and at most 3/4
+    e_max = 0.0  # p = 1: the Choi state itself is admissible
+    if p < 1.0:
+        e_max = max(e_max, math.log2((1.0 - p) / t_sel))
+    if p > 0.0:
+        e_max = max(e_max, math.log2(p / (1.0 - t_sel)))
     d_total = query.n * e_max + math.log2(1.0 / (1.0 - query.eps))
     rate = _invert(d_total, query.k, query.n)
     return BoundResult(
@@ -237,15 +231,6 @@ def antidegradable_bound(n: int, eps: float) -> BoundResult:
     budget = math.log2(1.0 / (1.0 - eps))
     rate = math.log2(1.0 / (1.0 - 2.0 * eps)) / n
     return BoundResult(n, rate, 2, None, METHOD_ANTIDEGRADABLE, budget, "constructive")
-
-
-def _channel_bound(
-    channel: ChannelSpec, n: int, eps: float, k: float, sigma_param: Optional[float] = None
-) -> BoundResult:
-    query = BoundQuery(channel, n, eps, k, sigma_param=sigma_param)
-    if channel.kind == "depolarizing":
-        return depolarizing_bound(query)
-    return erasure_bound(query)
 
 
 def optimize_k(channel: ChannelSpec, n: int, eps: float, k_max: int = 1024) -> BoundResult:
@@ -268,7 +253,7 @@ def optimize_k(channel: ChannelSpec, n: int, eps: float, k_max: int = 1024) -> B
 
     best: Optional[BoundResult] = None
     for k in grid:
-        cand = _channel_bound(channel, n, eps, k)
+        cand = channel_bound(BoundQuery(channel, n, eps, k))
         if best is None or cand.rate_bound < best.rate_bound:
             best = cand
     assert best is not None
@@ -278,12 +263,12 @@ def optimize_k(channel: ChannelSpec, n: int, eps: float, k_max: int = 1024) -> B
         for k in range(lo, hi + 1):
             if k in grid:
                 continue
-            cand = _channel_bound(channel, n, eps, k)
+            cand = channel_bound(BoundQuery(channel, n, eps, k))
             if cand.rate_bound < best.rate_bound or (
                 cand.rate_bound == best.rate_bound and cand.k_used < best.k_used
             ):
                 best = cand
-    limit = _channel_bound(channel, n, eps, INF)
+    limit = channel_bound(BoundQuery(channel, n, eps, INF))
     if limit.rate_bound < best.rate_bound or best.rate_bound == INF:
         best = limit
     return replace(best, limit=limit)

@@ -4,8 +4,7 @@ Output is CSV (with a versioned header comment) or JSON. Infinite rates are
 the string "inf" in CSV and null plus a "vacuous": true flag in JSON. Exit
 codes: 0 success (and Feasible for check), 1 usage or parse error, 2
 infeasible-signal, 3 inconclusive, 4 internal numerical failure. Sweeps over
-n run serially in n order; the environment variable UNEXT_THREADS is no
-longer read.
+n run serially in n order.
 """
 
 from __future__ import annotations
@@ -15,15 +14,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence, TextIO
 
 from . import bounds as bounds_mod
 from . import extendibility as ext_mod
 from . import hypothesis_testing as ht
 from . import linalg, states
-from .bounds import INF, BoundQuery, BoundResult, optimize_k, t_star
+from .bounds import INF, BoundQuery, BoundResult, channel_bound, optimize_k, t_star
 from .extendibility import ExtensionProblem, VerdictStatus, check_k_extendible
 from .states import ChannelSpec, DensityMatrix
 
@@ -43,27 +42,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class FigureRow:
-    n: int
-    rate_primary: float
-    rate_limit: float
-    k_used: float
-    method: str
-
-
-def _fmt(value: Optional[float]) -> str:
+def _fmt(value: Optional[float | str]) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if value == INF:
         return "inf"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
-
-
-def _json_rate(value: float) -> tuple[Optional[float], bool]:
-    return (None, True) if value == INF else (float(value), False)
 
 
 def _emit(text: str, output: Optional[str], out: TextIO) -> None:
@@ -74,101 +62,61 @@ def _emit(text: str, output: Optional[str], out: TextIO) -> None:
         out.write(text)
 
 
-def _bound_rows_csv(rows: Sequence[BoundResult]) -> str:
-    lines = [CSV_VERSION_HEADER, "n,rate_bound,k_used,sigma_param_used,method,divergence"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.n),
-                    _fmt(r.rate_bound),
-                    _fmt(r.k_used),
-                    _fmt(r.sigma_param_used),
-                    r.method,
-                    _fmt(r.divergence),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def _raw(r: BoundResult) -> BoundResult:
+    """r, and the limit row it carries, with rates as log2(M) instead of per use."""
+    limit = _raw(r.limit) if r.limit is not None else None
+    return replace(r, rate_bound=r.rate_bound * r.n if r.rate_bound != INF else INF, limit=limit)
 
 
-def _bound_rows_json(rows: Sequence[BoundResult]) -> str:
-    payload = []
-    for r in rows:
-        rate, vacuous = _json_rate(r.rate_bound)
-        div, div_vac = _json_rate(r.divergence)
-        payload.append(
-            {
-                "n": r.n,
-                "rate_bound": rate,
-                "vacuous": vacuous,
-                "k_used": "inf" if r.k_used == INF else int(r.k_used),
-                "sigma_param_used": r.sigma_param_used,
-                "sigma_provenance": r.sigma_provenance,
-                "method": r.method,
-                "divergence": div if not div_vac else None,
-            }
-        )
-    return json.dumps({"rows": payload}, indent=2) + "\n"
+_BOUND_COLUMNS = ("n", "rate_bound", "k_used", "sigma_param_used", "method", "divergence")
+_FIGURE_COLUMNS = ("n", "rate_primary", "rate_limit", "k_used", "method")
+# in JSON an infinite value is null, and each rate is followed by the flag that says so
+_VACUOUS_FLAGS = {"rate_bound": "vacuous", "rate_primary": "vacuous", "rate_limit": "limit_vacuous"}
 
 
-def _figure_rows_csv(rows: Sequence[FigureRow]) -> str:
-    lines = [CSV_VERSION_HEADER, "n,rate_primary,rate_limit,k_used,method"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [str(r.n), _fmt(r.rate_primary), _fmt(r.rate_limit), _fmt(r.k_used), r.method]
-            )
-        )
-    return "\n".join(lines) + "\n"
+def _bound_cells(r: BoundResult) -> dict:
+    return {
+        "n": r.n,
+        "rate_bound": r.rate_bound,
+        "k_used": r.k_used,
+        "sigma_param_used": r.sigma_param_used,
+        "sigma_provenance": r.sigma_provenance,
+        "method": r.method,
+        "divergence": r.divergence,
+    }
 
 
-def _figure_rows_json(rows: Sequence[FigureRow]) -> str:
-    payload = []
-    for r in rows:
-        rate, vacuous = _json_rate(r.rate_primary)
-        limit, limit_vac = _json_rate(r.rate_limit)
-        payload.append(
-            {
-                "n": r.n,
-                "rate_primary": rate,
-                "vacuous": vacuous,
-                "rate_limit": limit,
-                "limit_vacuous": limit_vac,
-                "k_used": "inf" if r.k_used == INF else int(r.k_used),
-                "method": r.method,
-            }
-        )
-    return json.dumps({"rows": payload}, indent=2) + "\n"
+def _figure_cells(r: BoundResult) -> dict:
+    return {
+        "n": r.n,
+        "rate_primary": r.rate_bound,
+        "rate_limit": r.limit.rate_bound,
+        "k_used": r.k_used,
+        "method": r.method,
+    }
+
+
+def _json_row(cells: dict) -> dict:
+    row = {}
+    for name, value in cells.items():
+        if name == "k_used":
+            value = "inf" if value == INF else int(value)
+        elif value == INF:
+            value = None
+        row[name] = value
+        if name in _VACUOUS_FLAGS:
+            row[_VACUOUS_FLAGS[name]] = value is None
+    return row
 
 
 def run_figure(
-    channel_kind: str,
-    p: float,
-    eps: float,
-    n_max: int,
-    *,
-    k_max: int = 1024,
-    per_use: bool = True,
-) -> list[FigureRow]:
-    """Optimized-order bound and limiting curve for n = 1..n_max."""
+    channel_kind: str, p: float, eps: float, n_max: int, *, k_max: int = 1024
+) -> list[BoundResult]:
+    """Optimized-order bound, carrying its limiting curve as `limit`, for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     channel = ChannelSpec(channel_kind, p)
-
-    def one(n: int) -> FigureRow:
-        opt = optimize_k(channel, n, eps, k_max=k_max)
-        limit = opt.limit
-        scale = 1.0 if per_use else float(n)
-        return FigureRow(
-            n=n,
-            rate_primary=opt.rate_bound * scale if opt.rate_bound != INF else INF,
-            rate_limit=limit.rate_bound * scale if limit.rate_bound != INF else INF,
-            k_used=opt.k_used,
-            method=opt.method,
-        )
-
-    return [one(n) for n in range(1, n_max + 1)]
+    return [optimize_k(channel, n, eps, k_max=k_max) for n in range(1, n_max + 1)]
 
 
 def _parse_fraction(raw: str) -> Fraction:
@@ -205,32 +153,34 @@ def _cmd_bound(args, out: TextIO) -> int:
     if args.k == "opt":
         if args.sigma_param is not None:
             raise ValueError("--sigma-param cannot be combined with --k opt")
-
-        def one(n: int) -> BoundResult:
-            return optimize_k(channel, n, args.eps, k_max=args.k_max)
-
+        rows = [optimize_k(channel, n, args.eps, k_max=args.k_max) for n in ns]
     else:
         k = _parse_k(args.k)
-
-        def one(n: int) -> BoundResult:
-            return bounds_mod._channel_bound(channel, n, args.eps, k, args.sigma_param)
-
-    rows = [one(n) for n in ns]
-    if not args.per_use:
-        rows = [
-            replace(r, rate_bound=r.rate_bound * r.n if r.rate_bound != INF else INF)
-            for r in rows
-        ]
-    text = _bound_rows_csv(rows) if args.format == "csv" else _bound_rows_json(rows)
-    _emit(text, args.output, out)
-    return EXIT_OK
+        rows = [channel_bound(BoundQuery(channel, n, args.eps, k, args.sigma_param)) for n in ns]
+    return _write_table(rows, args.per_use, _bound_cells, _BOUND_COLUMNS, args, out)
 
 
 def _cmd_figure(args, out: TextIO) -> int:
-    rows = run_figure(
-        args.channel, args.p, args.eps, args.n_max, k_max=args.k_max, per_use=not args.raw
-    )
-    text = _figure_rows_csv(rows) if args.format == "csv" else _figure_rows_json(rows)
+    rows = run_figure(args.channel, args.p, args.eps, args.n_max, k_max=args.k_max)
+    return _write_table(rows, not args.raw, _figure_cells, _FIGURE_COLUMNS, args, out)
+
+
+def _write_table(
+    rows: Sequence[BoundResult],
+    per_use: bool,
+    cells: Callable[[BoundResult], dict],
+    columns: Sequence[str],
+    args,
+    out: TextIO,
+) -> int:
+    """Emit result rows as CSV of the given columns or JSON of every cell, per use or raw."""
+    table = [cells(r if per_use else _raw(r)) for r in rows]
+    if args.format == "json":
+        text = json.dumps({"rows": [_json_row(c) for c in table]}, indent=2) + "\n"
+    else:
+        lines = [CSV_VERSION_HEADER, ",".join(columns)]
+        lines += [",".join(_fmt(c[name]) for name in columns) for c in table]
+        text = "\n".join(lines) + "\n"
     _emit(text, args.output, out)
     return EXIT_OK
 
@@ -241,9 +191,8 @@ def _cmd_np(args, out: TextIO) -> int:
         res = ht.np_divergence_exact(p, t, args.n, eps)[1]
     else:
         res = ht.np_divergence(ht.BinaryHypothesisPair(float(p), float(t), args.n), float(eps))
-    d, d_vac = _json_rate(res.divergence)
     payload = {
-        "D": d if not d_vac else None,
+        "D": None if res.divergence == INF else float(res.divergence),
         "beta": res.beta,
         "threshold_weight": res.threshold_weight,
         "gamma": res.gamma,
@@ -348,14 +297,14 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
             d1 = bounds_mod.distillation_bound_bell_diagonal(
                 (0.85, 0.05, 0.05, 0.05), n, 0.05, k
             )
-            d2 = bounds_mod.depolarizing_bound(BoundQuery(dep, n, 0.05, k))
+            d2 = channel_bound(BoundQuery(dep, n, 0.05, k))
             ok = ok and d1.rate_bound == d2.rate_bound
     record("distillation-channel-equality", ok)
 
     # limiting-curve consistency identity
     ok = True
     for n in (1, 4, 9):
-        res = bounds_mod.depolarizing_bound(BoundQuery(dep, n, 0.05, INF, sigma_param=0.5))
+        res = channel_bound(BoundQuery(dep, n, 0.05, INF, sigma_param=0.5))
         direct = ht.np_divergence(ht.BinaryHypothesisPair(0.85, 0.5, n), 0.05).divergence
         ok = ok and res.rate_bound == direct / n
     record("limit-curve-consistency", ok)
@@ -364,7 +313,7 @@ def _selftest_checks() -> list[tuple[str, bool, str]]:
     ok = True
     for n in range(1, 13):
         opt = optimize_k(dep, n, 0.05, k_max=256)
-        lim = bounds_mod.depolarizing_bound(BoundQuery(dep, n, 0.05, INF))
+        lim = channel_bound(BoundQuery(dep, n, 0.05, INF))
         ok = ok and opt.rate_bound <= lim.rate_bound + 1e-12
     record("order-optimization-dominance", ok)
 

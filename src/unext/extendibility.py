@@ -102,13 +102,26 @@ class ExtensionProblem:
         if self.k < 2:
             raise ValueError("extension order must be >= 2")
         d_a, d_b = self.rho.dims
-        if d_a * d_b**self.k > MAX_EXTENSION_DIM:
+        if _exceeds_guard(d_a, d_b, self.k):
             raise ValueError(
-                f"extension dimension {d_a * d_b ** self.k} exceeds the solver guard "
-                f"{MAX_EXTENSION_DIM}"
+                f"extension dimension d_A * d_B**k = {d_a} * {d_b}**{self.k} exceeds the "
+                f"solver guard {MAX_EXTENSION_DIM}"
             )
-        if self.tol <= 0.0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter >= 1")
+        # the face's kernel cutoff is 1e-3 * tol; a cutoff near the eigenvalues
+        # of rho (or a NaN one) would empty the face and "prove" infeasibility
+        if not 0.0 < self.tol < 1e-3:
+            raise ValueError(f"tol {self.tol} must lie in (0, 1e-3)")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+
+
+def _exceeds_guard(d_a: int, d_b: int, k: int) -> bool:
+    """d_a * d_b**k > MAX_EXTENSION_DIM, without forming the power for a huge k.
+
+    Past the guard's bit length d_b**k exceeds the guard whenever d_b >= 2,
+    so capping k there keeps the answer.
+    """
+    return d_a * d_b ** min(k, MAX_EXTENSION_DIM.bit_length()) > MAX_EXTENSION_DIM
 
 
 def _b_gather(d_b: int, k: int, perm: tuple[int, ...]) -> np.ndarray:
@@ -602,8 +615,10 @@ def erasure_certificate(k: int) -> np.ndarray:
     """
     if k < 2:
         raise ValueError("extension order must be >= 2")
-    if 2 * 3**k > MAX_EXTENSION_DIM:
-        raise ValueError(f"certificate dimension {2 * 3 ** k} exceeds {MAX_EXTENSION_DIM}")
+    if _exceeds_guard(2, 3, k):
+        raise ValueError(
+            f"certificate dimension 2 * 3**{k} exceeds the solver guard {MAX_EXTENSION_DIM}"
+        )
     phi_emb = erasure_family(0.0).matrix  # entangled pair on dims (2, 3)
     flags = np.zeros((3 ** (k - 1),) * 2)
     flags[-1, -1] = 1.0  # the erasure flag |2><2| on each of B_2..B_k

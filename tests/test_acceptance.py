@@ -17,7 +17,7 @@ from unext import bounds as bounds_mod
 from unext import extendibility as ext
 from unext import hypothesis_testing as ht
 from unext import states
-from unext.bounds import INF, BoundQuery, antidegradable_bound, depolarizing_bound, erasure_bound, optimize_k
+from unext.bounds import INF, BoundQuery, antidegradable_bound, channel_bound, optimize_k
 from unext.extendibility import ExtensionProblem, VerdictStatus, check_k_extendible
 from unext.states import ChannelSpec
 
@@ -150,12 +150,12 @@ def test_criterion_06_free_channels_preserve_feasibility():
     _ok("criterion 6 (local channels preserve feasibility)", "6 combos")
 
 
-def _dominance_sweep(channel: ChannelSpec, bound_fn) -> tuple[float, int]:
+def _dominance_sweep(channel: ChannelSpec) -> tuple[float, int]:
     best_margin = 0.0
     strict_n = 0
     for n in range(1, 51):
         opt = optimize_k(channel, n, 0.05)
-        lim = bound_fn(BoundQuery(channel, n, 0.05, INF))
+        lim = channel_bound(BoundQuery(channel, n, 0.05, INF))
         if opt.rate_bound != INF or lim.rate_bound != INF:
             assert opt.rate_bound <= lim.rate_bound + 1e-12, (n, opt.rate_bound, lim.rate_bound)
         margin = lim.rate_bound - opt.rate_bound
@@ -168,7 +168,7 @@ def _dominance_sweep(channel: ChannelSpec, bound_fn) -> tuple[float, int]:
 
 def test_criterion_07_depolarizing_dominance():
     start = time.monotonic()
-    margin, at_n = _dominance_sweep(ChannelSpec("depolarizing", 0.15), depolarizing_bound)
+    margin, at_n = _dominance_sweep(ChannelSpec("depolarizing", 0.15))
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s, budget 60s"
     _ok(
@@ -178,14 +178,14 @@ def test_criterion_07_depolarizing_dominance():
 
 
 def test_criterion_08_erasure_dominance():
-    margin, at_n = _dominance_sweep(ChannelSpec("erasure", 0.35), erasure_bound)
+    margin, at_n = _dominance_sweep(ChannelSpec("erasure", 0.35))
     _ok("criterion 8 (erasure dominance)", f"n=1..50, best margin {margin} at n={at_n}")
 
 
 def test_criterion_09_closed_form_spot_values():
     anti = antidegradable_bound(1, 0.05)
     assert abs(anti.rate_bound - math.log2(1.0 / 0.9)) <= 1e-12
-    chain = depolarizing_bound(
+    chain = channel_bound(
         BoundQuery(ChannelSpec("depolarizing", 0.15), 1, 0.05, 2, sigma_param=0.75)
     )
     assert abs(chain.rate_bound - math.log2(1.2)) <= 1e-9

@@ -9,17 +9,16 @@ from unext.bounds import (
     INF,
     BoundQuery,
     antidegradable_bound,
-    depolarizing_bound,
+    channel_bound,
     distillation_bound_bell_diagonal,
-    erasure_bound,
     interleaved_bound,
     max_log2_m,
     optimize_k,
     t_star,
 )
 from unext.extendibility import certificate_defects
-from unext.hypothesis_testing import BinaryHypothesisPair, np_divergence
-from unext.states import ChannelSpec, isotropic, max_entangled
+from unext.hypothesis_testing import BinaryHypothesisPair, d_max_commuting, np_divergence
+from unext.states import ChannelSpec, depolarizing_choi, isotropic, max_entangled
 
 DEP = ChannelSpec("depolarizing", 0.15)
 ERA = ChannelSpec("erasure", 0.35)
@@ -56,7 +55,7 @@ def test_max_log2_m_edges():
 
 
 def test_depolarizing_chain_spot_value():
-    res = depolarizing_bound(BoundQuery(DEP, 1, 0.05, 2, sigma_param=0.75))
+    res = channel_bound(BoundQuery(DEP, 1, 0.05, 2, sigma_param=0.75))
     assert abs(res.rate_bound - math.log2(1.2)) < 1e-9
     assert res.method == "post-processing"
     assert res.sigma_provenance == "override"
@@ -65,7 +64,7 @@ def test_depolarizing_chain_spot_value():
 
 def test_depolarizing_limit_consistency():
     for n in (1, 3, 10):
-        res = depolarizing_bound(BoundQuery(DEP, n, 0.05, INF, sigma_param=0.5))
+        res = channel_bound(BoundQuery(DEP, n, 0.05, INF, sigma_param=0.5))
         direct = np_divergence(BinaryHypothesisPair(0.85, 0.5, n), 0.05).divergence
         assert res.rate_bound == direct / n
         assert res.method == "limit"
@@ -73,20 +72,18 @@ def test_depolarizing_limit_consistency():
 
 def test_depolarizing_override_validation():
     with pytest.raises(ValueError):
-        depolarizing_bound(BoundQuery(DEP, 1, 0.05, 2, sigma_param=0.80))
+        channel_bound(BoundQuery(DEP, 1, 0.05, 2, sigma_param=0.80))
     with pytest.raises(ValueError):
-        depolarizing_bound(BoundQuery(DEP, 1, 0.05, 2, sigma_param=0.7501))
+        channel_bound(BoundQuery(DEP, 1, 0.05, 2, sigma_param=0.7501))
     with pytest.raises(ValueError):
-        depolarizing_bound(BoundQuery(DEP, 1, 0.05, INF, sigma_param=0.51))
-    with pytest.raises(ValueError):
-        depolarizing_bound(BoundQuery(ERA, 1, 0.05, 2))
+        channel_bound(BoundQuery(DEP, 1, 0.05, INF, sigma_param=0.51))
 
 
 def test_depolarizing_extendible_choi_regime():
     # 1 - p below the threshold: the Choi state itself is admissible, so the
     # divergence collapses to the identical-hypotheses floor at t = 1 - p
     chan = ChannelSpec("depolarizing", 0.35)  # 1 - p = 0.65 < t*(2)
-    res = depolarizing_bound(BoundQuery(chan, 1, 0.05, 2, sigma_param=0.65))
+    res = channel_bound(BoundQuery(chan, 1, 0.05, 2, sigma_param=0.65))
     floor = math.log2(1.0 / 0.95)
     assert abs(res.divergence - floor) < 1e-12
     ceiling = max_log2_m(floor, 2)
@@ -96,29 +93,29 @@ def test_depolarizing_extendible_choi_regime():
 def test_erasure_bound_values():
     # p = 1/2, k = 2: reference equals the channel output, divergence floor
     chan = ChannelSpec("erasure", 0.5)
-    res = erasure_bound(BoundQuery(chan, 1, 0.05, 2))
+    res = channel_bound(BoundQuery(chan, 1, 0.05, 2))
     assert abs(res.rate_bound - math.log2(0.5 / 0.45)) < 1e-12
     assert res.sigma_param_used == 0.5
     assert res.sigma_provenance == "constructive"
 
-    res = erasure_bound(BoundQuery(ERA, 1, 0.05, 2))
+    res = channel_bound(BoundQuery(ERA, 1, 0.05, 2))
     direct = np_divergence(BinaryHypothesisPair(0.65, 0.5, 1), 0.05)
     expected = max_log2_m(direct.divergence, 2)
     assert abs(res.rate_bound - expected) < 1e-12
 
     # full erasure: support-mismatch path; k = 2 is always vacuous there
     # (beta = (1-eps)/2 < 1/2) while k = 3 stays finite for eps < 1/2
-    res = erasure_bound(BoundQuery(ChannelSpec("erasure", 1.0), 1, 0.05, 2))
+    res = channel_bound(BoundQuery(ChannelSpec("erasure", 1.0), 1, 0.05, 2))
     assert res.rate_bound == INF
-    res = erasure_bound(BoundQuery(ChannelSpec("erasure", 1.0), 1, 0.05, 3))
+    res = channel_bound(BoundQuery(ChannelSpec("erasure", 1.0), 1, 0.05, 3))
     beta = 0.95 * (2.0 / 3.0)
     assert abs(res.rate_bound - math.log2((2.0 / 3.0) / (beta - 1.0 / 3.0))) < 1e-12
 
 
 def test_erasure_override_validation():
     with pytest.raises(ValueError):
-        erasure_bound(BoundQuery(ERA, 1, 0.05, 2, sigma_param=0.4))  # below 1 - 1/k
-    res = erasure_bound(BoundQuery(ERA, 1, 0.05, 2, sigma_param=0.6))
+        channel_bound(BoundQuery(ERA, 1, 0.05, 2, sigma_param=0.4))  # below 1 - 1/k
+    res = channel_bound(BoundQuery(ERA, 1, 0.05, 2, sigma_param=0.6))
     assert res.sigma_provenance == "override"
 
 
@@ -126,7 +123,7 @@ def test_distillation_matches_choi_bound():
     for n in (1, 2, 4):
         for k in (2, 3, 5, INF):
             d1 = distillation_bound_bell_diagonal((0.85, 0.05, 0.05, 0.05), n, 0.05, k)
-            d2 = depolarizing_bound(BoundQuery(DEP, n, 0.05, k))
+            d2 = channel_bound(BoundQuery(DEP, n, 0.05, k))
             assert d1.rate_bound == d2.rate_bound
             assert d1.divergence == d2.divergence
 
@@ -164,6 +161,16 @@ def test_interleaved_bound_values():
     res = interleaved_bound(BoundQuery(low_noise, 2, 0.05, 2))
     assert abs(res.divergence - math.log2(1 / 0.95)) < 1e-12
     assert abs(res.rate_bound - max_log2_m(math.log2(1 / 0.95), 2) / 2) < 1e-12
+
+
+def test_interleaved_closed_form_matches_the_dense_states():
+    # at n = 1 and eps = 0 the divergence is D_max(Choi || isotropic(t_sel)) alone
+    for k in (2, 3, 5, 16, INF):
+        for p in np.linspace(0.0, 1.0, 41)[:-1]:
+            res = interleaved_bound(BoundQuery(ChannelSpec("depolarizing", float(p)), 1, 0.0, k))
+            sigma = isotropic(res.sigma_param_used, 2)
+            dense = max(0.0, d_max_commuting(depolarizing_choi(float(p)), sigma))
+            assert abs(res.divergence - dense) <= 1e-12, (p, k)
 
 
 def test_interleaved_asymptotics_at_limit_order():
@@ -206,11 +213,11 @@ def test_antidegradable_closed_form():
 def test_optimize_k_never_beats_limit_and_prefers_small_k():
     for n in (1, 2, 5, 20):
         opt = optimize_k(DEP, n, 0.05)
-        lim = depolarizing_bound(BoundQuery(DEP, n, 0.05, INF))
+        lim = channel_bound(BoundQuery(DEP, n, 0.05, INF))
         assert opt.rate_bound <= lim.rate_bound + 1e-12
     # strict win at n = 2 with a small order
     opt2 = optimize_k(DEP, 2, 0.05)
-    lim2 = depolarizing_bound(BoundQuery(DEP, 2, 0.05, INF))
+    lim2 = channel_bound(BoundQuery(DEP, 2, 0.05, INF))
     assert lim2.rate_bound - opt2.rate_bound > 1e-3
     assert opt2.k_used != INF
     assert opt2.k_used <= 8
@@ -231,10 +238,10 @@ def test_optimize_k_all_vacuous_returns_limit():
 
 
 def test_optimize_k_carries_its_limiting_result():
-    for channel, bound in ((DEP, depolarizing_bound), (ERA, erasure_bound)):
+    for channel in (DEP, ERA):
         for n in (1, 7, 50):
             opt = optimize_k(channel, n, 0.05, k_max=64)
-            assert opt.limit == bound(BoundQuery(channel, n, 0.05, INF)), (channel, n)
+            assert opt.limit == channel_bound(BoundQuery(channel, n, 0.05, INF)), (channel, n)
             assert opt.limit.limit is None
 
 
@@ -242,7 +249,7 @@ def test_vacuity_monotone_in_n_for_fixed_k():
     finite = [
         n
         for n in range(1, 51)
-        if depolarizing_bound(BoundQuery(DEP, n, 0.05, 2)).rate_bound != INF
+        if channel_bound(BoundQuery(DEP, n, 0.05, 2)).rate_bound != INF
     ]
     assert finite == list(range(1, len(finite) + 1))
     # beta per copy count is non-increasing, so once vacuous always vacuous

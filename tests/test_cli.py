@@ -134,6 +134,16 @@ def test_check_parse_failure_exit_code(capsys):
     code, _, err = run_cli(capsys, "check", "not-a-state:1", "--k", "2")
     assert code == 1
     assert "error" in err
+    # a tol whose kernel cutoff swallows the support of a separable state
+    # would print an infeasibility "proof" after 0 iterations
+    for tol in ("nan", "inf", "200", "1000", "1e-3"):
+        code, out, err = run_cli(capsys, "check", "isotropic:0.5:2", "--k", "2", "--tol", tol)
+        assert code == 1 and out == "", tol
+        assert "tol" in err
+    # the guard message does not form d_B**k
+    code, out, err = run_cli(capsys, "check", "isotropic:0.5:2", "--k", "1000000")
+    assert code == 1 and out == ""
+    assert "solver guard" in err
 
 
 def test_check_rejects_invalid_matrix_file(tmp_path, capsys):
@@ -324,9 +334,9 @@ def test_selftest_detects_fixture_perturbation(monkeypatch, capsys):
 
 
 # sha256 of the README example outputs, the sweep's read from its --output
-# file. A change that moves one of these must be a documented correctness fix,
-# with the new hash noted in CHANGES.md.
-README_OUTPUT_SHA256 = {
+# file, and of outputs they do not print. A change that moves one of these
+# must be a documented correctness fix, with the new hash noted in CHANGES.md.
+OUTPUT_SHA256 = {
     "bound --channel erasure --p 0.35 --eps 0.05 --n-range 1:50 --k opt --per-use --output OUT": (
         "65cc96facee2ba108ff785ac4dd335ea0b19140bf64d133c88b5d7d52a91de0d"
     ),
@@ -336,12 +346,25 @@ README_OUTPUT_SHA256 = {
     "np --p 17/20 --t 3/4 --n 100 --eps 1/20 --engine exact": (
         "2f66871214ed3bb0ea30f09d2751e0b327d51ce7a6c696815c6a9a2e47923de6"
     ),
+    # JSON and raw rates: rows that go vacuous, limit and override
+    # provenance, and `limit_vacuous`
+    "bound --channel erasure --p 0.35 --eps 0.05 --n-range 25:32 --k opt --format json": (
+        "220e243f11b73f1d3a6874dd8b461a99fe28199bb2b37fba2a57c4bdb1149962"
+    ),
+    "bound --channel depolarizing --p 0.15 --eps 0.05 --n-range 1:6 --k 3 --sigma-param 0.6 "
+    "--format json": "275a0c87e02ee43b718b7a8c6b97bac026255094f90c15f13bb0281c169f5db4",
+    "figure erasure --p 0.35 --eps 0.05 --n-max 32 --raw --format json": (
+        "7a06335887ec8ed7509f020cca4120d12a230a7040b65d08194fc140a8cb05f7"
+    ),
+    "figure depolarizing --p 0.15 --eps 0.05 --n-max 12 --raw": (
+        "32fbba9c9056d8acc45269e6a1dfea97d12ece6fa491fbe33360f48b9f015ea1"
+    ),
 }
 
 
 def test_readme_example_outputs_are_byte_stable(tmp_path, capsys):
     out_file = tmp_path / "erasure.csv"
-    for command, digest in README_OUTPUT_SHA256.items():
+    for command, digest in OUTPUT_SHA256.items():
         argv = [str(out_file) if arg == "OUT" else arg for arg in command.split()]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0

@@ -595,6 +595,8 @@ def test_erasure_certificate_guard():
         erasure_certificate(1)
     with pytest.raises(ValueError):
         erasure_certificate(8)
+    with pytest.raises(ValueError, match="solver guard"):
+        erasure_certificate(10**6)  # the message does not form 3**k
 
 
 def test_twirl_fixed_points_and_overlap():
