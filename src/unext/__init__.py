@@ -1,7 +1,7 @@
 """Non-asymptotic upper bounds on quantum communication rates from state extendibility.
 
 Subpackages:
-  linalg              dense complex Hermitian linear algebra
+  linalg              dense Hermitian linear algebra, real inputs kept real
   states              named bipartite states, channels, fidelity
   extendibility       k-extendibility feasibility checker and certificates
   hypothesis_testing  exact Neyman-Pearson engine and commuting-state divergences

@@ -131,13 +131,6 @@ def _b_gather(d_b: int, k: int, perm: tuple[int, ...]) -> np.ndarray:
     return np.ravel_multi_index(tuple(digits[p] for p in perm), shape)
 
 
-@lru_cache(maxsize=None)
-def _conj_indices(d_a: int, d_b: int, k: int, perm: tuple[int, ...]) -> np.ndarray:
-    """Index array src with W omega W^dagger == omega[ix_(src, src)] for the lifted permutation."""
-    block = d_b**k
-    return (np.arange(d_a)[:, None] * block + _b_gather(d_b, k, perm)[None, :]).reshape(-1)
-
-
 def _shapes(k: int, rows: int, cap: Optional[int] = None) -> list[tuple[int, ...]]:
     """Partitions of k into at most rows parts, each part at most cap, largest first."""
     if k == 0:
@@ -398,10 +391,11 @@ def symmetrize(omega: np.ndarray, d_a: int, d_b: int, k: int) -> np.ndarray:
 
 def symmetry_defect(omega: np.ndarray, d_a: int, d_b: int, k: int) -> float:
     """Max-entry deviation of omega from invariance under the B-factor transpositions."""
+    t = omega.reshape(((d_a,) + (d_b,) * k) * 2)
     defect = 0.0
-    for i in range(k - 1):  # the adjacent transpositions generate S_k
-        src = _conj_indices(d_a, d_b, k, tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, k)))
-        defect = max(defect, float(np.max(np.abs(omega[np.ix_(src, src)] - omega))))
+    for i in range(1, k):  # the adjacent transpositions generate S_k
+        swapped = t.swapaxes(i, i + 1).swapaxes(k + 1 + i, k + 2 + i)
+        defect = max(defect, float(np.max(np.abs(swapped - t))))
     return defect
 
 

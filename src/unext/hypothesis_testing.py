@@ -15,13 +15,18 @@ arithmetic, for cross-validation, steps the class masses one class at a time
 in fill order and stops at the boundary class; a brute-force enumeration
 oracle covers small n.
 
+The fill is also the only place where outcome classes are merged: classes
+sorted by descending log2 likelihood ratio form one group while each ratio
+is lower than the one before by at most a lump width, 0 for the Bernoulli
+engine (exact ties only) and _LUMP_TOL for commuting pairs.
+
 The same sort-and-fill core also evaluates the divergence for commuting pairs
 of density matrices by reducing their joint spectrum to a classical outcome
-list, and the max-relative entropy for commuting pairs comes from the largest
-eigenvalue ratio. Two n-fold tensor powers are never diagonalized densely:
-their joint spectrum is built from the single-copy pair, one outcome per
-type (count of each factor eigenpair) weighted by its multinomial
-multiplicity, so the cost is polynomial in n.
+list, and the max-relative entropy for commuting pairs is the largest log2
+mass ratio over the same list. Two n-fold tensor powers are never
+diagonalized densely: their joint spectrum is built from the single-copy
+pair, one outcome per type (count of each factor eigenpair) weighted by its
+multinomial multiplicity, so the cost is polynomial in n.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ _GROUP_TOL = 1e-9
 _COMMUTING_TOL = 1e-10
 # joint eigenvalues at or below this count as outside a state's support
 _SUPPORT_TOL = 1e-11
-# commuting_dh lumps outcomes whose log2 likelihood ratios agree within this
+# commuting_dh lumps outcomes whose sorted log2 likelihood ratios step by at most this
 _LUMP_TOL = 1e-7
 # np_divergence fills only the classes with true mass >= 2^-_WINDOW_BITS eps,
 # and accepts that answer when the dropped classes carry at most
@@ -168,15 +173,19 @@ def _solve_outcome_classes(
     log2_q: Sequence[float],
     weights: Sequence[int],
     eps: float,
+    lump: float = 0.0,
 ) -> NPResult:
     """Sort-and-fill optimum over outcome classes given by log2 masses.
 
-    Classes with equal likelihood ratio (exact float equality, infinities
-    included) are merged before filling, which makes the boundary
-    randomization weight unique. Classes carrying no mass under either
-    hypothesis are dropped; classes with zero true-hypothesis mass are never
-    accepted. Groups come from a stable sort by descending ratio, members in
-    index order; a group of one keeps its masses, which is what its sum is.
+    This is the one place where outcome classes are merged. Classes are
+    stably sorted by descending log2 likelihood ratio, and a class joins the
+    group before it unless its ratio is lower than the previous class's by
+    more than lump (commuting_dh passes _LUMP_TOL). At lump = 0 only equal
+    ratios (exact float equality, infinities included) share a group, which
+    makes the boundary randomization weight unique. Members are summed in
+    sorted order; a group of one keeps its masses, which is what its sum is.
+    Classes carrying no mass under either hypothesis are dropped; classes
+    with zero true-hypothesis mass are never accepted.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps {eps} outside [0, 1)")
@@ -188,7 +197,7 @@ def _solve_outcome_classes(
     by_ratio = np.argsort(neg_ratio, kind="stable")
     order, neg_ratio = live[by_ratio], neg_ratio[by_ratio]
     new_group = np.ones(order.size, dtype=bool)
-    np.not_equal(neg_ratio[1:], neg_ratio[:-1], out=new_group[1:])
+    np.greater(neg_ratio[1:], neg_ratio[:-1] + lump, out=new_group[1:])
     starts = np.flatnonzero(new_group)
     lp_group, lq_group = log2_p[order[starts]], log2_q[order[starts]]
     w_min = np.minimum.reduceat(np.asarray(weights)[order], starts)
@@ -532,51 +541,33 @@ def _joint_spectrum(rho: State, sigma: State) -> tuple[np.ndarray, np.ndarray, n
     return r_types, s_types, mult
 
 
+def _commuting_classes(rho: State, sigma: State) -> tuple[np.ndarray, np.ndarray]:
+    """log2 true and alternative masses of the joint-spectrum outcome classes.
+
+    A pair of multiplicity m stands for m outcomes of equal likelihood ratio,
+    so it enters with m times both masses and the ratio unchanged. A mass at
+    or below _SUPPORT_TOL is outside that state's support (log2 mass -inf),
+    and pairs outside both supports are dropped.
+    """
+    r, s, mult = _joint_spectrum(rho, sigma)
+    keep = (r > _SUPPORT_TOL) | (s > _SUPPORT_TOL)
+    r, s, log2_mult = r[keep], s[keep], np.log2(mult[keep])
+    log2_p = np.where(r > _SUPPORT_TOL, np.log2(np.maximum(r, 1e-300)) + log2_mult, NEG_INF)
+    log2_q = np.where(s > _SUPPORT_TOL, np.log2(np.maximum(s, 1e-300)) + log2_mult, NEG_INF)
+    return log2_p, log2_q
+
+
 def commuting_dh(rho: State, sigma: State, eps: float) -> float:
     """Hypothesis-testing divergence (bits) for a commuting pair of states.
 
     Co-diagonalizes the pair, treats the joint spectrum as a classical outcome
-    list, lumps outcomes whose log-likelihood ratios agree within _LUMP_TOL,
-    and runs the same sort-and-fill optimum as the Bernoulli engine.
-    Non-commuting inputs are rejected.
+    list and runs the same sort-and-fill optimum as the Bernoulli engine,
+    which lumps outcomes whose log2 likelihood ratios step by at most
+    _LUMP_TOL. Non-commuting inputs are rejected.
     """
-    r, s, mult = _joint_spectrum(rho, sigma)
-    r = np.clip(r, 0.0, None)
-    s = np.clip(s, 0.0, None)
-    keep = (r > _SUPPORT_TOL) | (s > _SUPPORT_TOL)
-    r, s, log2_mult = r[keep], s[keep], np.log2(mult[keep])
-
-    # a pair of multiplicity m stands for m outcomes of equal likelihood
-    # ratio, so it enters with m times both masses and the ratio unchanged
-    log2_p = np.where(r > _SUPPORT_TOL, np.log2(np.maximum(r, 1e-300)) + log2_mult, NEG_INF)
-    log2_q = np.where(s > _SUPPORT_TOL, np.log2(np.maximum(s, 1e-300)) + log2_mult, NEG_INF)
-
-    # lump outcomes with numerically equal likelihood ratios so the merged
-    # classes match the ideal reduced problem: a class of finite ratios ends
-    # where the sorted ratios exceed its first by more than _LUMP_TOL, and
-    # each infinite ratio is a class of its own
-    ratio = np.where(
-        log2_p == NEG_INF, NEG_INF, np.where(log2_q == NEG_INF, np.inf, log2_p - log2_q)
-    )
-    order = np.argsort(ratio, kind="stable")
-    sorted_ratio = ratio[order]
-    lo = int(np.searchsorted(sorted_ratio, NEG_INF, side="right"))  # first finite ratio
-    hi = int(np.searchsorted(sorted_ratio, np.inf))  # first +inf ratio
-    lumped_p: list[float] = []
-    lumped_q: list[float] = []
-    idx = 0
-    while idx < len(order):
-        if lo <= idx < hi:
-            tail = sorted_ratio[idx:hi] - sorted_ratio[idx]
-            end = idx + int(np.searchsorted(tail, _LUMP_TOL, side="right"))
-        else:
-            end = idx + 1
-        members = order[idx:end]
-        lumped_p.append(_log2_sum(log2_p[members].tolist()))
-        lumped_q.append(_log2_sum(log2_q[members].tolist()))
-        idx = end
-    result = _solve_outcome_classes(lumped_p, lumped_q, np.arange(len(lumped_p)), eps)
-    return result.divergence
+    log2_p, log2_q = _commuting_classes(rho, sigma)
+    weights = np.arange(log2_p.size)
+    return _solve_outcome_classes(log2_p, log2_q, weights, eps, lump=_LUMP_TOL).divergence
 
 
 def d_max_commuting(rho: State, sigma: State) -> float:
@@ -584,12 +575,6 @@ def d_max_commuting(rho: State, sigma: State) -> float:
 
     +inf when the support of rho is not contained in the support of sigma.
     """
-    r, s, _ = _joint_spectrum(rho, sigma)
-    best = NEG_INF
-    for ri, si in zip(r, s):
-        if ri <= _SUPPORT_TOL:
-            continue
-        if si <= _SUPPORT_TOL:
-            return float("inf")
-        best = max(best, math.log2(ri) - math.log2(si))
-    return best
+    log2_p, log2_q = _commuting_classes(rho, sigma)
+    live = log2_p != NEG_INF
+    return float(np.max(log2_p[live] - log2_q[live], initial=NEG_INF))

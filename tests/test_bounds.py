@@ -237,6 +237,29 @@ def test_optimize_k_all_vacuous_returns_limit():
     assert res.method == "limit"
 
 
+def _erasure_rates_to_256():
+    """Rates of erasure(0.6) at n = 100, eps = 0.05 for k = 2..256, by k."""
+    channel = ChannelSpec("erasure", 0.6)
+    return {k: channel_bound(BoundQuery(channel, 100, 0.05, k)).rate_bound for k in range(2, 257)}
+
+
+def test_erasure_has_a_finite_order_between_vacuous_grid_orders():
+    rates = _erasure_rates_to_256()
+    assert min(rates, key=rates.get) == 3
+    assert abs(rates[3] - 0.012736) < 1e-6
+    assert all(rates[2**j] == INF for j in range(1, 9))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 12: every doubling-grid order is vacuous here, so the "
+    "refine window never runs and k = 3 is never tried",
+)
+def test_optimize_k_finds_a_finite_order_between_vacuous_grid_orders():
+    best = min(_erasure_rates_to_256().values())
+    assert optimize_k(ChannelSpec("erasure", 0.6), 100, 0.05, k_max=256).rate_bound == best
+
+
 def test_optimize_k_carries_its_limiting_result():
     for channel in (DEP, ERA):
         for n in (1, 7, 50):

@@ -20,7 +20,6 @@ from unext.extendibility import (
     _GRAM_REG,
     _affine,
     _compress,
-    _conj_indices,
     _face,
     _gram_solve,
     _lift,
@@ -61,16 +60,9 @@ def random_hermitian(n, seed):
     return (a + a.conj().T) / 2
 
 
-def test_conj_indices_match_explicit_conjugation():
-    rng = np.random.default_rng(2)
-    for d_a, d_b, k in [(2, 2, 2), (2, 3, 2), (2, 2, 3)]:
-        omega = random_hermitian(d_a * d_b**k, 5)
-        for _ in range(3):
-            perm = tuple(rng.permutation(k))
-            w = linalg.kron(np.eye(d_a), linalg.permutation_operator(d_b, k, perm))
-            explicit = w @ omega @ w.conj().T
-            src = _conj_indices(d_a, d_b, k, perm)
-            assert np.allclose(omega[np.ix_(src, src)], explicit, atol=1e-12)
+def lifted_permutation(d_a, d_b, k, perm):
+    """The real 0/1 matrix of a permutation of the k B factors, identity on A."""
+    return linalg.kron(np.eye(d_a), linalg.permutation_operator(d_b, k, perm).real)
 
 
 def test_symmetrize_fixed_point_and_trace():
@@ -86,8 +78,8 @@ def test_symmetrize_two_term_average():
     phi = max_entangled(2).matrix
     eye_half = np.eye(2, dtype=complex) / 2
     omega = linalg.kron(phi, eye_half)  # pair on (A, B1), mixed on B2
-    swap = _conj_indices(2, 2, 2, (1, 0))
-    expected = 0.5 * (omega + omega[np.ix_(swap, swap)])
+    swap = lifted_permutation(2, 2, 2, (1, 0))
+    expected = 0.5 * (omega + swap @ omega @ swap.T)
     got = symmetrize(omega, 2, 2, 2)
     assert np.max(np.abs(got - expected)) < 1e-14
 
@@ -104,11 +96,12 @@ def test_symmetrize_matches_full_average():
             (rng.normal(size=(dim, dim)), np.float64),
             (rng.integers(-5, 6, size=(dim, dim)), np.float64),
         ]
-        for omega, dtype in inputs:
-            full = np.zeros(omega.shape, dtype=dtype)
-            for perm in permutations(range(k)):
-                src = _conj_indices(d_a, d_b, k, perm)
-                full += omega[np.ix_(src, src)]
+        fulls = [np.zeros(omega.shape, dtype=dtype) for omega, dtype in inputs]
+        for perm in permutations(range(k)):
+            w = lifted_permutation(d_a, d_b, k, perm)
+            for (omega, _), full in zip(inputs, fulls):
+                full += w @ omega @ w.T
+        for (omega, dtype), full in zip(inputs, fulls):
             full /= math.factorial(k)
             got = symmetrize(omega, d_a, d_b, k)
             assert got.dtype == dtype, (d_a, d_b, k, omega.dtype)
@@ -461,8 +454,8 @@ def _dense_face_projector(rho, k):
     for i in range(k):
         perm = list(range(k))
         perm[0], perm[i] = i, 0
-        src = _conj_indices(d_a, d_b, k, tuple(perm))
-        total += first[np.ix_(src, src)]
+        w = lifted_permutation(d_a, d_b, k, perm)
+        total += w @ first @ w.T
     e, v = np.linalg.eigh(total)
     return v[:, e < 1e-9] @ v[:, e < 1e-9].conj().T
 

@@ -240,36 +240,48 @@ def _kahan_append(total, comp, value):
     return t, (t - total) - y
 
 
-def _reference_solve_outcome_classes(log2_p, log2_q, weights, eps):
-    """The dict-and-Kahan fill _solve_outcome_classes must reproduce bit for bit."""
-    groups = {}
+def _reference_solve_outcome_classes(log2_p, log2_q, weights, eps, lump=0.0):
+    """The dict-and-Kahan fill _solve_outcome_classes must reproduce bit for bit.
+
+    Classes of equal ratio share a dict entry, in index order. Taken by
+    descending ratio, an entry joins the group before it unless its ratio is
+    lower than the previous entry's by more than lump.
+    """
+    ties = {}
     for i, (lp, lq) in enumerate(zip(log2_p, log2_q)):
         if lp == NEG_INF:
             continue
         ratio = float("inf") if lq == NEG_INF else lp - lq
-        groups.setdefault(ratio, []).append(i)
+        ties.setdefault(ratio, []).append(i)
+
+    groups, previous = [], None
+    for ratio in sorted(ties, reverse=True):
+        if previous is not None and not -ratio > -previous + lump:
+            groups[-1] += ties[ratio]
+        else:
+            groups.append(list(ties[ratio]))
+        previous = ratio
 
     merged = []
-    for ratio, idx in groups.items():
+    for idx in groups:
         p_mass = 2.0 ** ht._log2_sum([log2_p[i] for i in idx])
         lq_group = ht._log2_sum([log2_q[i] for i in idx])
-        merged.append((ratio, p_mass, lq_group, min(weights[i] for i in idx)))
-    merged.sort(key=lambda g: g[0], reverse=True)
+        merged.append((p_mass, lq_group, min(weights[i] for i in idx)))
 
     target = 1.0 - eps
     suffixes = [0.0] * (len(merged) + 1)
     s_tot, s_comp = 0.0, 0.0
     for i in range(len(merged) - 1, -1, -1):
-        s_tot, s_comp = _kahan_append(s_tot, s_comp, merged[i][1])
+        s_tot, s_comp = _kahan_append(s_tot, s_comp, merged[i][0])
         suffixes[i] = s_tot
     offset = suffixes[0] - target
 
     cum, comp = 0.0, 0.0
     accepted_q = []
     gamma = 1.0
-    boundary_weight = merged[0][3] if merged else 0
+    boundary_weight = merged[0][2] if merged else 0
     boundary_lq = NEG_INF
-    for i, (ratio, p_mass, lq_group, wmin) in enumerate(merged):
+    for i, (p_mass, lq_group, wmin) in enumerate(merged):
         remaining = suffixes[i] - offset
         if remaining <= 0.0:
             break
@@ -296,13 +308,14 @@ def _reference_solve_outcome_classes(log2_p, log2_q, weights, eps):
     )
 
 
-def _assert_fill_matches_reference(log2_p, log2_q, weights, eps, case):
-    got = _solve_outcome_classes(log2_p, log2_q, weights, eps)
+def _assert_fill_matches_reference(log2_p, log2_q, weights, eps, case, lump=0.0):
+    got = _solve_outcome_classes(log2_p, log2_q, weights, eps, lump=lump)
     want = _reference_solve_outcome_classes(
         np.asarray(log2_p, dtype=float).tolist(),
         np.asarray(log2_q, dtype=float).tolist(),
         np.asarray(weights).tolist(),
         eps,
+        lump,
     )
     assert type(got.threshold_weight) is int
     assert _bits(got) == _bits(want), case
@@ -330,8 +343,11 @@ def test_fill_matches_the_dict_and_kahan_fill_bit_for_bit():
                     _assert_fill_matches_reference(*window, eps, (p, t, n, eps, lo, hi))
 
     # random class lists with exact ratio ties, zero masses on either side or
-    # both, and unsorted weights; dyadic log2 masses keep the ties exact
+    # both, and unsorted weights; dyadic log2 masses keep the ties exact. The
+    # same lists with ratios moved by a few 2^-30 steps are filled again with
+    # lump widths that chain such steps or whole quarter-steps of the ratio grid
     rng = np.random.default_rng(17)
+    lumped_rng = np.random.default_rng(18)
     for trial in range(2000):
         size = int(rng.integers(1, 60))
         ratios = rng.integers(-16, 17, size=int(rng.integers(1, 6))) / 4.0
@@ -344,6 +360,9 @@ def test_fill_matches_the_dict_and_kahan_fill_bit_for_bit():
         weights = rng.permutation(size) + int(rng.integers(0, 100))
         eps = float(rng.choice([0.0, 1e-300, 1e-12, 0.05, 0.3, 0.9, rng.random()]))
         _assert_fill_matches_reference(log2_p, log2_q, weights, eps, trial)
+        near_ties = log2_q - lumped_rng.integers(0, 4, size=size) * 2.0**-30
+        lump = float(lumped_rng.choice([2.0**-30, 3 * 2.0**-30, 0.25, 0.6]))
+        _assert_fill_matches_reference(log2_p, near_ties, weights, eps, (trial, lump), lump)
 
     for eps in (0.0, 0.05):
         _assert_fill_matches_reference([], [], [], eps, "empty")
@@ -351,13 +370,14 @@ def test_fill_matches_the_dict_and_kahan_fill_bit_for_bit():
 
 
 def test_fill_matches_the_dict_and_kahan_fill_on_lumped_classes(monkeypatch):
-    # the lumped outcome lists commuting_dh fills for the criterion-03 pairs
+    # the outcome lists commuting_dh fills, lumped at _LUMP_TOL, for the
+    # criterion-03 pairs
     lumped = []
     fill = ht._solve_outcome_classes
 
-    def spy(*args):
-        lumped.append(args)
-        return fill(*args)
+    def spy(*args, **kwargs):
+        lumped.append((args, kwargs))
+        return fill(*args, **kwargs)
 
     monkeypatch.setattr(ht, "_solve_outcome_classes", spy)
     powers = [(states.depolarizing_choi(0.15), states.isotropic(0.75, 2), n) for n in range(1, 7)]
@@ -365,8 +385,31 @@ def test_fill_matches_the_dict_and_kahan_fill_on_lumped_classes(monkeypatch):
     for rho, sig, n in powers:
         commuting_dh(states.tensor_power(rho, n), states.tensor_power(sig, n), 0.05)
     assert len(lumped) == len(powers)
-    for args in lumped:
-        _assert_fill_matches_reference(*args, args)
+    for args, kwargs in lumped:
+        assert kwargs == {"lump": ht._LUMP_TOL}
+        _assert_fill_matches_reference(*args, args, **kwargs)
+
+
+def test_commuting_dh_lumps_ratios_within_the_lump_width():
+    # log2 ratios 1e-9 apart share a class and 1e-6 apart do not (_LUMP_TOL
+    # is 1e-7); eps = 0.7 puts the boundary in the first pair, eps = 0.3 in
+    # the third outcome, where each wrong grouping moves D by over 1e-11 bits
+    s = np.array([0.1, 0.2, 0.3, 0.4])
+    r = s * 2.0 ** np.array([1.0, 1.0 - 1e-9, 1.0 - 1e-9 - 1e-6, -2.0])
+    r /= r.sum()
+    rho, sigma = (states.DensityMatrix(np.diag(v), (2, 2)) for v in (r, s))
+    log2_p, log2_q = np.log2(r), np.log2(s)
+
+    def divergence(classes, eps):
+        lp = [ht._log2_sum(log2_p[c].tolist()) for c in classes]
+        lq = [ht._log2_sum(log2_q[c].tolist()) for c in classes]
+        return _solve_outcome_classes(lp, lq, list(range(len(classes))), eps).divergence
+
+    lumped = [[0, 1], [2], [3]]
+    for eps, wrong in ((0.7, [[0], [1], [2], [3]]), (0.3, [[0, 1, 2], [3]])):
+        want = divergence(lumped, eps)
+        assert abs(commuting_dh(rho, sigma, eps) - want) <= 1e-12, eps
+        assert abs(divergence(wrong, eps) - want) > 1e-11, eps
 
 
 def _reference_log2_masses(n, s):
@@ -552,8 +595,11 @@ def test_d_max_spot_values():
         assert abs(d_max_commuting(phi, states.isotropic(t, 2)) - math.log2(1.0 / t)) < 1e-10
     got = d_max_commuting(rho, states.isotropic(0.75, 2))
     assert abs(got - math.log2(0.85 / 0.75)) < 1e-10
-    # support failure: sigma pure, rho full rank
+    # support failure: sigma pure, rho full rank, also on factored powers
     assert d_max_commuting(states.isotropic(0.75, 2), phi) == float("inf")
+    for n in (2, 3):
+        rho_n = states.tensor_power(states.isotropic(0.75, 2), n)
+        assert d_max_commuting(rho_n, states.tensor_power(phi, n)) == float("inf"), n
 
 
 def test_np_result_invariants():
